@@ -2,19 +2,16 @@
 //! regenerating each figure's data points takes per workload, for both the
 //! base and the switch-directory machine.
 
-use dresar::TransientReadPolicy;
 use dresar_bench::harness::{bench, black_box};
-use dresar_bench::{run_one, suite};
+use dresar_bench::plan::{run_plan, suite, sweep, unobserved, PAIR_CONFIGS};
+use dresar_bench::sweep::SweepRunner;
 use dresar_workloads::Scale;
 
 fn main() {
-    let benches = suite(Scale::Tiny);
-    for b in &benches {
-        bench(&format!("simulate/{}_base", b.label), || {
-            black_box(run_one(b, None, TransientReadPolicy::Retry));
-        });
-        bench(&format!("simulate/{}_sd1k", b.label), || {
-            black_box(run_one(b, Some(1024), TransientReadPolicy::Retry));
+    for entry in sweep(&suite(Scale::Tiny), &PAIR_CONFIGS, unobserved()) {
+        let name = format!("simulate/{}", entry.name.replace(".sd1024", "_sd1k").replace('.', "_"));
+        bench(&name, || {
+            black_box(run_plan(vec![entry.clone()], SweepRunner::serial()));
         });
     }
 }

@@ -10,85 +10,41 @@
 //!
 //! Usage: `ablations [tiny|reduced|paper] [--json]`.
 
-use dresar::system::{RunOptions, System};
-use dresar::TransientReadPolicy;
-use dresar_bench::{json_doc, json_requested, scale_from_args};
-use dresar_types::config::{SwitchDirConfig, SystemConfig};
-use dresar_types::{JsonValue, ToJson, Workload};
-use dresar_workloads::scientific;
-
-struct Variant {
-    name: &'static str,
-    cfg: SystemConfig,
-    policy: TransientReadPolicy,
-}
-
-fn variants() -> Vec<Variant> {
-    let base = SystemConfig::paper_table2();
-    let mk = |name, cfg, policy| Variant { name, cfg, policy };
-    let with_sd = |f: &dyn Fn(&mut SwitchDirConfig)| {
-        let mut c = base;
-        let mut sd = SwitchDirConfig::paper_default();
-        f(&mut sd);
-        c.switch_dir = Some(sd);
-        c
-    };
-    vec![
-        mk("paper default (retry, 4-way, pend=16)", base, TransientReadPolicy::Retry),
-        mk("accumulate readers", base, TransientReadPolicy::Accumulate),
-        mk(
-            "pending buffer = 1",
-            with_sd(&|sd| sd.pending_buffer_entries = 1),
-            TransientReadPolicy::Retry,
-        ),
-        mk(
-            "pending buffer = 64",
-            with_sd(&|sd| sd.pending_buffer_entries = 64),
-            TransientReadPolicy::Retry,
-        ),
-        mk("direct-mapped directory", with_sd(&|sd| sd.ways = 1), TransientReadPolicy::Retry),
-        mk("8-way directory", with_sd(&|sd| sd.ways = 8), TransientReadPolicy::Retry),
-        mk(
-            "4x4 switches (4 stages)",
-            {
-                let mut c = base;
-                c.switch.radix = 2;
-                c
-            },
-            TransientReadPolicy::Retry,
-        ),
-        mk("no switch directory (base)", SystemConfig::paper_base(), TransientReadPolicy::Retry),
-    ]
-}
+use dresar_bench::plan::{ablation_plan, ablation_variants, ablation_workloads, find, run_plan};
+use dresar_bench::sweep::SweepRunner;
+use dresar_bench::{json_doc, Cli};
+use dresar_types::{JsonValue, ToJson};
+use dresar_workloads::Scale;
 
 fn main() {
-    let scale = scale_from_args();
-    let json = json_requested();
-    let workloads: Vec<(&str, Workload)> = vec![
-        ("FFT", scientific::fft(16, scale.fft_points())),
-        ("SOR", scientific::sor(16, scale.grid_n().min(192), 2)),
-    ];
+    let cli = Cli::from_env(Scale::Reduced, &["--json"], &[]);
+    let scale = cli.scale;
+    let json = cli.flag("--json");
+    let workloads = ablation_workloads(scale);
+    let runs = run_plan(ablation_plan(&workloads), SweepRunner::from_env());
     let mut json_workloads: Vec<JsonValue> = Vec::new();
     for (wname, w) in &workloads {
+        let refs = w.get().total_refs();
         if !json {
-            println!("\n=== {wname} ({} refs) ===", w.total_refs());
+            println!("\n=== {wname} ({refs} refs) ===");
             println!(
                 "{:40} {:>9} {:>9} {:>9} {:>10} {:>9}",
                 "variant", "homeCC", "swCC", "retries", "avg lat", "exec"
             );
         }
         let mut json_variants: Vec<JsonValue> = Vec::new();
-        for v in variants() {
-            let r = System::new(v.cfg, w)
-                .run(RunOptions { transient_policy: v.policy, ..RunOptions::default() });
+        for (variant, _, _) in ablation_variants() {
+            let r = find(&runs, &format!("{wname}/{variant}"))
+                .execution()
+                .expect("ablations are execution-driven");
             if json {
                 json_variants.push(
-                    JsonValue::obj().field("variant", v.name).field("report", r.to_json()).build(),
+                    JsonValue::obj().field("variant", variant).field("report", r.to_json()).build(),
                 );
             } else {
                 println!(
                     "{:40} {:>9} {:>9} {:>9} {:>10.1} {:>9}",
-                    v.name,
+                    variant,
                     r.reads.ctoc_home,
                     r.reads.ctoc_switch,
                     r.reads.retries,
@@ -101,7 +57,7 @@ fn main() {
             json_workloads.push(
                 JsonValue::obj()
                     .field("workload", *wname)
-                    .field("refs", w.total_refs())
+                    .field("refs", refs)
                     .field("variants", json_variants)
                     .build(),
             );

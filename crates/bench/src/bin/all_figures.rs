@@ -1,53 +1,53 @@
-//! Regenerates the full evaluation: Figures 1, 2, 8, 9, 10, 11 plus the
-//! Table 2/3 parameter dump, in one run, emitting EXPERIMENTS.md-style
-//! markdown on stdout.
+//! Regenerates the full evaluation — Figures 1, 2 and 8–11 — from one
+//! switch-directory size sweep, emitting EXPERIMENTS.md-style markdown on
+//! stdout, or with `--json` one document holding every figure's table.
 //!
-//! Usage: `all_figures [tiny|reduced|paper]` (default `reduced`).
+//! Usage: `all_figures [tiny|reduced|paper] [--json]` (default `reduced`).
 
-use dresar::TransientReadPolicy;
-use dresar_bench::{full_sweep, par_map, run_one, scale_from_args, suite, Sweep};
-use dresar_stats::percent_reduction;
-use dresar_trace_sim::TraceSimulator;
-use dresar_types::config::TraceSimConfig;
-use dresar_workloads::commercial;
-
-fn reduction_row(s: &Sweep, metric: impl Fn(&dresar_bench::Metrics) -> f64) -> String {
-    let base = metric(&s.base);
-    let cells: Vec<String> =
-        s.sized.iter().map(|(_, m)| format!("{:.1}", percent_reduction(base, metric(m)))).collect();
-    format!("| {} | {} |", s.label, cells.join(" | "))
-}
+use dresar_bench::plan::{run_plan, size_plan, suite};
+use dresar_bench::sweep::SweepRunner;
+use dresar_bench::{fig1_table, fig2_histogram, json_doc, size_tables, Cli, SIZE_FIGURES};
+use dresar_types::{JsonValue, ToJson};
+use dresar_workloads::Scale;
 
 fn main() {
-    let scale = scale_from_args();
+    let cli = Cli::from_env(Scale::Reduced, &["--json"], &[]);
+    let scale = cli.scale;
     let t0 = std::time::Instant::now();
-    println!("# dresar evaluation (scale = {scale:?})\n");
+    let benches = suite(scale);
+    // One sweep feeds every figure: Figure 1 reads its base runs.
+    let runs = run_plan(size_plan(&benches), SweepRunner::from_env());
+    let fig1 = fig1_table(scale, &benches, &runs);
+    let h = fig2_histogram(scale);
+    let sized = size_tables(scale, &benches, &runs);
 
-    // ---- Figure 1 ------------------------------------------------------
+    if cli.flag("--json") {
+        let fig2 = JsonValue::obj()
+            .field("blocks_touched", h.blocks_touched())
+            .field("read_misses", h.total_misses())
+            .field("ctoc_transfers", h.total_ctocs())
+            .field("top_decile_ctoc_coverage", h.ctoc_coverage_of_top(0.10))
+            .build();
+        let mut doc = json_doc("all_figures")
+            .field("scale", format!("{scale:?}"))
+            .field("fig1", fig1.to_json())
+            .field("fig2", fig2);
+        for (f, table) in SIZE_FIGURES.iter().zip(&sized) {
+            doc = doc.field(f.tool, table.to_json());
+        }
+        println!("{}", doc.build().dump());
+        return;
+    }
+
+    println!("# dresar evaluation (scale = {scale:?})\n");
     println!("## Figure 1 — clean vs dirty read fractions (base machine)\n");
     println!("| workload | read misses | clean % | dirty CtoC % |");
     println!("|----------|------------:|--------:|-------------:|");
-    let benches = suite(scale);
-    // Base runs shard across cores; rows print in suite order.
-    let fig1 = par_map(&benches, |b| run_one(b, None, TransientReadPolicy::Retry));
-    for (b, m) in benches.iter().zip(&fig1) {
-        let total = m.reads.total().max(1) as f64;
-        println!(
-            "| {} | {} | {:.1} | {:.1} |",
-            b.label,
-            m.reads.total(),
-            100.0 * m.reads.clean as f64 / total,
-            100.0 * m.reads.dirty_fraction()
-        );
+    for (label, v) in fig1.rows() {
+        println!("| {label} | {} | {:.1} | {:.1} |", v[2] as u64, v[0], v[1]);
     }
 
-    // ---- Figure 2 ------------------------------------------------------
     println!("\n## Figure 2 — TPC-C block access skew\n");
-    let tpcc = commercial::tpcc(16, scale.commercial_refs(), 0xD2E5_A25E);
-    let mut sim = TraceSimulator::new(TraceSimConfig::paper_base());
-    sim.collect_histogram();
-    let rep = sim.run(&tpcc);
-    let h = rep.histogram.unwrap();
     println!(
         "blocks touched = {}, read misses = {}, CtoC transfers = {}, top-10% CtoC coverage = {:.1}% (paper: ~88%)",
         h.blocks_touched(),
@@ -56,25 +56,14 @@ fn main() {
         100.0 * h.ctoc_coverage_of_top(0.10)
     );
 
-    // ---- Figures 8-11 --------------------------------------------------
-    let sweeps = full_sweep(scale);
     let header = "| workload | 256 | 512 | 1K | 2K |\n|----------|----:|----:|---:|---:|";
-
-    println!("\n## Figure 8 — reduction in home-node CtoC transfers (% vs base)\n\n{header}");
-    for s in &sweeps {
-        println!("{}", reduction_row(s, |m| m.home_ctoc()));
-    }
-    println!("\n## Figure 9 — reduction in average read latency (% vs base)\n\n{header}");
-    for s in &sweeps {
-        println!("{}", reduction_row(s, |m| m.avg_read_latency()));
-    }
-    println!("\n## Figure 10 — reduction in read stall time (% vs base)\n\n{header}");
-    for s in &sweeps {
-        println!("{}", reduction_row(s, |m| m.read_stall()));
-    }
-    println!("\n## Figure 11 — reduction in execution time (% vs base)\n\n{header}");
-    for s in &sweeps {
-        println!("{}", reduction_row(s, |m| m.exec()));
+    for (f, table) in SIZE_FIGURES.iter().zip(&sized) {
+        println!("\n## {}\n\n{header}", f.heading);
+        for (label, vals) in table.rows() {
+            let cells: Vec<String> = vals.iter().map(|v| format!("{v:.1}")).collect();
+            println!("| {label} | {} |", cells.join(" | "));
+        }
+        println!("\n{}", f.paper);
     }
 
     println!("\n_Total regeneration time: {:.1}s_", t0.elapsed().as_secs_f64());

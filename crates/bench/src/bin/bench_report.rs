@@ -50,67 +50,21 @@
 //! unless `--informational` downgrades the gate to reporting only (the
 //! mode CI uses on pull requests).
 
-use dresar_bench::sweep::{
-    heatmap_runs, protocol_runs, scaling_runs, standard_runs, ProtocolRun, RunResult, ScalingRun,
-    SweepRunner, SCALING_CONFIGS,
+use dresar_bench::benefit::{render_benefit, Grouping};
+use dresar_bench::plan::{
+    heatmap_plan, protocol_plan, run_plan, scaling_plan, standard_runs, suite, SCALING_POINTS,
 };
-use dresar_bench::{json_doc, suite};
+use dresar_bench::sweep::SweepRunner;
+use dresar_bench::{heatmap_json, json_doc, Cli};
 use dresar_obs::{HostProfiler, MetricsRegistry};
-use dresar_types::{FromJson, JsonValue, ToJson, SCHEMA_VERSION};
+use dresar_types::{FromJson, JsonValue, Protocol, ToJson, SCHEMA_VERSION};
 use dresar_workloads::Scale;
 use std::process::ExitCode;
 
-struct Args {
-    scale: Scale,
-    out: String,
-    heatmap: Option<String>,
-    scaling: Option<String>,
-    protocols: Option<String>,
-    baseline: Option<String>,
-    tolerance_pct: f64,
-    informational: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        scale: Scale::Tiny,
-        out: "BENCH_dresar.json".into(),
-        heatmap: None,
-        scaling: None,
-        protocols: None,
-        baseline: None,
-        tolerance_pct: 0.0,
-        informational: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => args.out = it.next().ok_or("--out needs a path")?,
-            "--heatmap" => args.heatmap = Some(it.next().ok_or("--heatmap needs a path")?),
-            "--scaling" => args.scaling = Some(it.next().ok_or("--scaling needs a path")?),
-            "--protocols" => args.protocols = Some(it.next().ok_or("--protocols needs a path")?),
-            "--baseline" => args.baseline = Some(it.next().ok_or("--baseline needs a path")?),
-            "--tolerance" => {
-                let v = it.next().ok_or("--tolerance needs a percentage")?;
-                args.tolerance_pct =
-                    v.parse().map_err(|_| format!("bad tolerance '{v}': expected a number"))?;
-            }
-            "--informational" => args.informational = true,
-            other if !other.starts_with("--") => {
-                args.scale = Scale::parse(other).ok_or_else(|| {
-                    format!("unknown scale '{other}', expected tiny|reduced|paper")
-                })?;
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(args)
-}
-
-fn total_sim_cycles(runs: &[RunResult]) -> u64 {
+fn total_sim_cycles(runs: &[(String, MetricsRegistry)]) -> u64 {
     use dresar_obs::MetricValue;
     runs.iter()
-        .flat_map(|r| [r.metrics.get("sim.cycles"), r.metrics.get("trace.exec_cycles")])
+        .flat_map(|(_, m)| [m.get("sim.cycles"), m.get("trace.exec_cycles")])
         .filter_map(|v| match v {
             Some(MetricValue::Counter(c)) => Some(*c),
             _ => None,
@@ -150,19 +104,19 @@ fn parse_runs(doc: &JsonValue) -> Result<Vec<(String, MetricsRegistry)>, String>
 /// regressions (scalar changes beyond tolerance, plus whole runs that
 /// appeared or disappeared).
 fn compare(
-    current: &[RunResult],
+    current: &[(String, MetricsRegistry)],
     baseline: &[(String, MetricsRegistry)],
     tolerance_pct: f64,
 ) -> usize {
     let tol = tolerance_pct / 100.0;
     let mut regressions = 0usize;
     for (name, base_reg) in baseline {
-        let Some(cur) = current.iter().find(|r| &r.name == name) else {
+        let Some((_, cur)) = current.iter().find(|(n, _)| n == name) else {
             eprintln!("REGRESSION {name}: run present in baseline but not produced");
             regressions += 1;
             continue;
         };
-        for d in cur.metrics.diff(base_reg) {
+        for d in cur.diff(base_reg) {
             let rel = d.rel_change();
             if rel.abs() > tol {
                 eprintln!(
@@ -176,378 +130,122 @@ fn compare(
             }
         }
     }
-    for r in current {
-        if !baseline.iter().any(|(n, _)| n == &r.name) {
-            eprintln!("REGRESSION {}: run not present in baseline (record a new one)", r.name);
+    for (name, _) in current {
+        if !baseline.iter().any(|(n, _)| n == name) {
+            eprintln!("REGRESSION {name}: run not present in baseline (record a new one)");
             regressions += 1;
         }
     }
     regressions
 }
 
-/// Renders the `--scaling` figure: the nodes x sd-size x workload sweep as
-/// a markdown document — a raw-counter table, the derived benefit table,
-/// and a bar chart of the largest-SD latency reduction per machine size. Every
-/// number is a deterministic simulation counter (or a fixed-precision ratio
-/// of two), so the document is byte-identical across sweep thread counts.
-fn render_scaling(scale: Scale, runs: &[ScalingRun]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("# Scaling figure: switch-directory benefit vs machine size\n\n");
-    let _ = writeln!(
-        out,
-        "Generated by `bench_report {} --scaling <path>`. All numbers are\n\
-         deterministic simulation counters; the document is byte-identical\n\
-         across sweep thread counts.\n",
-        format!("{scale:?}").to_lowercase()
-    );
-    out.push_str(
-        "Each machine-size step adds one BMIN stage to the home path, so the\n\
-         paper predicts the switch-directory shortcut (serving cache-to-cache\n\
-         reads from the switch instead of the home directory) saves more read\n\
-         latency the larger the machine.\n\n",
-    );
-
-    out.push_str("## Runs\n\n");
-    out.push_str(
-        "| run | nodes | stages | sd entries | avg read latency | home CtoC | \
-         switch CtoC | SD hits | exec cycles |\n\
-         |---|--:|--:|--:|--:|--:|--:|--:|--:|\n",
-    );
-    for r in runs {
-        let sd = r.sd_entries.map_or("-".to_string(), |e| e.to_string());
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {:.2} | {} | {} | {} | {} |",
-            r.name,
-            r.nodes,
-            r.stages,
-            sd,
-            r.metrics.avg_read_latency(),
-            r.metrics.reads.ctoc_home,
-            r.metrics.reads.ctoc_switch,
-            r.metrics.sd_hits,
-            r.metrics.exec_cycles,
-        );
-    }
-
-    // Benefit per (workload, machine): latency reduction vs that machine's
-    // own base run.
-    let base = |wl: &str, nodes: usize| -> Option<f64> {
-        runs.iter()
-            .find(|r| r.workload == wl && r.nodes == nodes && r.sd_entries.is_none())
-            .map(|r| r.metrics.avg_read_latency())
-    };
-    let benefit = |r: &ScalingRun| -> Option<f64> {
-        let b = base(r.workload, r.nodes)?;
-        (b > 0.0).then(|| 100.0 * (b - r.metrics.avg_read_latency()) / b)
-    };
-
-    // Cycles saved per switch-served CtoC read: the total read-latency
-    // cycles the SD machine shaved off the base machine, amortized over the
-    // reads the switches actually served. This is the per-shortcut saving —
-    // the quantity the paper's longer-home-path argument is directly about
-    // (each extra BMIN stage is another hop plus directory occupancy the
-    // shortcut skips) — and unlike the aggregate percentage it is not
-    // diluted by how much of the workload's traffic the SD can capture.
-    let per_hit = |r: &ScalingRun| -> Option<f64> {
-        let base_run = runs
-            .iter()
-            .find(|b| b.workload == r.workload && b.nodes == r.nodes && b.sd_entries.is_none())?;
-        (r.metrics.reads.ctoc_switch > 0).then(|| {
-            (base_run.metrics.reads.latency_cycles as f64 - r.metrics.reads.latency_cycles as f64)
-                / r.metrics.reads.ctoc_switch as f64
-        })
-    };
-
-    let sd_tags: Vec<(&str, u32)> =
-        SCALING_CONFIGS.iter().filter_map(|&(tag, sd)| sd.map(|e| (tag, e))).collect();
-    // Spotlight the largest SD on the axis for the per-hit column and the
-    // bar chart: it is the config with the most capacity headroom, so its
-    // numbers isolate path length from eviction-thrash effects.
-    let (spot_tag, spot_entries) = *sd_tags.last().expect("SCALING_CONFIGS has an SD config");
-    out.push_str("\n## Benefit: read-latency reduction vs the base machine\n\n");
-    let _ = write!(out, "| workload | nodes | stages |");
-    for (tag, _) in &sd_tags {
-        let _ = write!(out, " {tag} |");
-    }
-    let _ = write!(out, " {spot_tag} cycles saved / switch CtoC |\n|---|--:|--:|");
-    for _ in 0..=sd_tags.len() {
-        out.push_str("--:|");
-    }
-    out.push('\n');
-    for probe in runs.iter().filter(|r| r.sd_entries.is_none()) {
-        let mut cells = String::new();
-        let mut saved = String::from("-");
-        for &(_, entries) in &sd_tags {
-            let run = runs.iter().find(|r| {
-                r.workload == probe.workload
-                    && r.nodes == probe.nodes
-                    && r.sd_entries == Some(entries)
-            });
-            match run.and_then(&benefit) {
-                Some(pct) => {
-                    let _ = write!(cells, " {pct:.1}% |");
-                }
-                None => cells.push_str(" - |"),
-            }
-            if entries == spot_entries {
-                if let Some(s) = run.and_then(&per_hit) {
-                    saved = format!("{s:.0}");
-                }
-            }
-        }
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} |{} {saved} |",
-            probe.workload, probe.nodes, probe.stages, cells
-        );
-    }
-
-    let _ = write!(out, "\n```text\n{spot_tag} read-latency reduction (one # per percent)\n\n");
-    for probe in runs.iter().filter(|r| r.sd_entries == Some(spot_entries)) {
-        if let Some(pct) = benefit(probe) {
-            let bar = "#".repeat(pct.round().clamp(0.0, 60.0) as usize);
-            let _ = writeln!(
-                out,
-                "{:<4} n{:03} ({} stages) {:<60} {pct:5.1}%",
-                probe.workload, probe.nodes, probe.stages, bar
-            );
-        }
-    }
-    out.push_str("```\n");
-    out
-}
-
-/// Renders the `--protocols` figure: the protocol x sd-size x workload
-/// ablation as a markdown document — a raw-counter table, the derived
-/// per-protocol benefit table (including cycles saved per switch-served
-/// CtoC read), and a bar chart of the largest-SD latency reduction per
-/// protocol. Every number is a deterministic simulation counter (or a
-/// fixed-precision ratio of two), so the document is byte-identical across
-/// sweep thread counts.
-fn render_protocols(scale: Scale, runs: &[ProtocolRun]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("# Protocol figure: switch-directory benefit per coherence protocol\n\n");
-    let _ = writeln!(
-        out,
-        "Generated by `bench_report {} --protocols <path>`. All numbers are\n\
-         deterministic simulation counters; the document is byte-identical\n\
-         across sweep thread counts.\n",
-        format!("{scale:?}").to_lowercase()
-    );
-    out.push_str(
-        "The switch directories are protocol-agnostic hint caches: they snoop\n\
-         the same reply/copyback traffic and shortcut dirty remote reads the\n\
-         same way under every protocol. What changes per protocol is how many\n\
-         dirty remote reads exist to shortcut — MESI's silent upgrades create\n\
-         dirty blocks the home never saw a write for, MOESI's owner keeps\n\
-         serving readers after the first shortcut, and the directoryless\n\
-         shared-LLC baseline (`dls`) serves reads at home without any\n\
-         intervention, which is the latency floor the shortcut competes\n\
-         against.\n\n",
-    );
-
-    out.push_str("## Runs\n\n");
-    out.push_str(
-        "| run | protocol | sd entries | avg read latency | home CtoC | \
-         switch CtoC | SD hits | exec cycles |\n\
-         |---|---|--:|--:|--:|--:|--:|--:|\n",
-    );
-    for r in runs {
-        let sd = r.sd_entries.map_or("-".to_string(), |e| e.to_string());
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {:.2} | {} | {} | {} | {} |",
-            r.name,
-            r.protocol,
-            sd,
-            r.metrics.avg_read_latency(),
-            r.metrics.reads.ctoc_home,
-            r.metrics.reads.ctoc_switch,
-            r.metrics.sd_hits,
-            r.metrics.exec_cycles,
-        );
-    }
-
-    // Benefit per (workload, protocol): latency reduction vs that
-    // protocol's own base run — each protocol competes against itself, so
-    // the column isolates what the switch directories add on top of the
-    // protocol's native sharing optimizations.
-    let base = |r: &ProtocolRun| -> Option<&ProtocolRun> {
-        runs.iter().find(|b| {
-            b.workload == r.workload && b.protocol == r.protocol && b.sd_entries.is_none()
-        })
-    };
-    let benefit = |r: &ProtocolRun| -> Option<f64> {
-        let b = base(r)?.metrics.avg_read_latency();
-        (b > 0.0).then(|| 100.0 * (b - r.metrics.avg_read_latency()) / b)
-    };
-    // Cycles saved per switch-served CtoC read: total read-latency cycles
-    // the SD machine shaved off the same protocol's base machine, amortized
-    // over the reads the switches actually served — the per-shortcut saving
-    // the paper's benefit argument is about, per protocol.
-    let per_hit = |r: &ProtocolRun| -> Option<f64> {
-        let b = base(r)?;
-        (r.metrics.reads.ctoc_switch > 0).then(|| {
-            (b.metrics.reads.latency_cycles as f64 - r.metrics.reads.latency_cycles as f64)
-                / r.metrics.reads.ctoc_switch as f64
-        })
-    };
-
-    let sd_tags: Vec<(&str, u32)> =
-        SCALING_CONFIGS.iter().filter_map(|&(tag, sd)| sd.map(|e| (tag, e))).collect();
-    let (spot_tag, spot_entries) = *sd_tags.last().expect("SCALING_CONFIGS has an SD config");
-    out.push_str("\n## Benefit: read-latency reduction vs each protocol's own base machine\n\n");
-    let _ = write!(out, "| workload | protocol |");
-    for (tag, _) in &sd_tags {
-        let _ = write!(out, " {tag} |");
-    }
-    let _ = write!(out, " {spot_tag} cycles saved / switch CtoC |\n|---|---|");
-    for _ in 0..=sd_tags.len() {
-        out.push_str("--:|");
-    }
-    out.push('\n');
-    for probe in runs.iter().filter(|r| r.sd_entries.is_none()) {
-        let mut cells = String::new();
-        let mut saved = String::from("-");
-        for &(_, entries) in &sd_tags {
-            let run = runs.iter().find(|r| {
-                r.workload == probe.workload
-                    && r.protocol == probe.protocol
-                    && r.sd_entries == Some(entries)
-            });
-            match run.and_then(&benefit) {
-                Some(pct) => {
-                    let _ = write!(cells, " {pct:.1}% |");
-                }
-                None => cells.push_str(" - |"),
-            }
-            if entries == spot_entries {
-                if let Some(s) = run.and_then(&per_hit) {
-                    saved = format!("{s:.0}");
-                }
-            }
-        }
-        let _ = writeln!(out, "| {} | {} |{} {saved} |", probe.workload, probe.protocol, cells);
-    }
-
-    let _ = write!(out, "\n```text\n{spot_tag} read-latency reduction (one # per percent)\n\n");
-    for probe in runs.iter().filter(|r| r.sd_entries == Some(spot_entries)) {
-        if let Some(pct) = benefit(probe) {
-            let bar = "#".repeat(pct.round().clamp(0.0, 60.0) as usize);
-            let _ =
-                writeln!(out, "{:<4} {:<5} {:<60} {pct:5.1}%", probe.workload, probe.protocol, bar);
-        }
-    }
-    out.push_str("```\n");
-    out
+/// Writes `text` to `path`, reporting a failure as exit status 2.
+fn write_out(path: &str, text: &str) -> Result<(), ExitCode> {
+    std::fs::write(path, text).map_err(|e| {
+        eprintln!("bench_report: cannot write {path}: {e}");
+        ExitCode::from(2)
+    })
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("bench_report: {e}");
-            return ExitCode::from(2);
-        }
+    match report() {
+        Ok(code) | Err(code) => code,
+    }
+}
+
+fn report() -> Result<ExitCode, ExitCode> {
+    let cli = Cli::from_env(
+        Scale::Tiny,
+        &["--informational"],
+        &["--out", "--heatmap", "--scaling", "--protocols", "--baseline", "--tolerance"],
+    );
+    let scale = cli.scale;
+    let out = cli.value("--out").unwrap_or("BENCH_dresar.json");
+    let tolerance_pct: f64 = match cli.value("--tolerance") {
+        None => 0.0,
+        Some(v) => v.parse().map_err(|_| {
+            eprintln!("bench_report: bad tolerance '{v}': expected a number");
+            ExitCode::from(2)
+        })?,
     };
+    let runner = SweepRunner::from_env();
 
     let mut prof = HostProfiler::new();
     prof.phase("sweep");
-    let benches = suite(args.scale);
-    // Shards workload chains across cores; the run list is sorted by name
-    // so the document is byte-identical to a serial execution.
-    let (runs, timings) = standard_runs(&benches, SweepRunner::from_env());
-    for t in &timings {
-        prof.run_timing(&t.name, t.wall_seconds);
-    }
+    let benches = suite(scale);
+    let runs = standard_runs(&benches, runner);
     // The scaling sweep runs inside the profiled window on purpose: its
     // 256-node machines dominate peak RSS, and the CI scaling leg gates on
     // the `host.profile` VmHWM this run records.
-    let scaling = args.scaling.as_ref().map(|_| {
+    let mut figures = Vec::new();
+    if let Some(path) = cli.value("--scaling") {
         prof.phase("scaling");
-        scaling_runs(args.scale, SweepRunner::from_env())
-    });
-    let protocols = args.protocols.as_ref().map(|_| {
+        let runs = run_plan(scaling_plan(&SCALING_POINTS, scale), runner);
+        figures.push((Grouping::MachineSize, path, runs));
+    }
+    if let Some(path) = cli.value("--protocols") {
         prof.phase("protocols");
-        protocol_runs(args.scale, SweepRunner::from_env())
-    });
+        let runs = run_plan(protocol_plan(&Protocol::ALL, scale), runner);
+        figures.push((Grouping::Protocol, path, runs));
+    }
     prof.phase("report");
-    let sim_cycles = total_sim_cycles(&runs);
+    for r in runs.iter().chain(figures.iter().flat_map(|(_, _, runs)| runs)) {
+        prof.run_timing(&r.name, r.wall_seconds);
+    }
+    let registries: Vec<(String, MetricsRegistry)> =
+        runs.iter().map(|r| (r.name.clone(), r.registry())).collect();
+    let sim_cycles = total_sim_cycles(&registries);
 
-    let runs_json: Vec<JsonValue> = runs
+    let runs_json: Vec<JsonValue> = registries
         .iter()
-        .map(|r| {
-            JsonValue::obj()
-                .field("name", r.name.as_str())
-                .field("metrics", r.metrics.to_json())
-                .build()
+        .map(|(name, m)| {
+            JsonValue::obj().field("name", name.as_str()).field("metrics", m.to_json()).build()
         })
         .collect();
     let host = prof.finish();
+    // Only the standard suite's phase simulated the cycles counted here.
+    let cycles_per_sec = host.cycles_per_sec("sweep", sim_cycles);
     let doc = json_doc("bench_report")
-        .field("scale", format!("{:?}", args.scale))
+        .field("scale", format!("{scale:?}"))
         .field("runs", runs_json)
         .field(
             "host",
             JsonValue::obj()
                 .field("profile", host.to_json())
                 .field("simulated_cycles", sim_cycles)
-                .field("cycles_per_sec", host.cycles_per_sec(sim_cycles))
+                .field("cycles_per_sec", cycles_per_sec)
                 .build(),
         )
         .build();
-    let mut text = doc.dump();
-    text.push('\n');
-    if let Err(e) = std::fs::write(&args.out, &text) {
-        eprintln!("bench_report: cannot write {}: {e}", args.out);
-        return ExitCode::from(2);
-    }
+    write_out(out, &format!("{}\n", doc.dump()))?;
     println!(
-        "bench_report: {} runs at scale {:?} -> {} ({} simulated cycles, {:.0} cycles/sec)",
+        "bench_report: {} runs at scale {scale:?} -> {out} ({sim_cycles} simulated cycles, \
+         {cycles_per_sec:.0} cycles/sec)",
         runs.len(),
-        args.scale,
-        args.out,
-        sim_cycles,
-        host.cycles_per_sec(sim_cycles)
     );
 
-    if let (Some(path), Some(runs)) = (&args.scaling, &scaling) {
-        let text = render_scaling(args.scale, runs);
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("bench_report: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("bench_report: {} scaling runs -> {path}", runs.len());
+    for (g, path, runs) in &figures {
+        write_out(path, &render_benefit(*g, scale, runs))?;
+        let kind = match g {
+            Grouping::MachineSize => "scaling",
+            Grouping::Protocol => "protocol",
+        };
+        println!("bench_report: {} {kind} runs -> {path}", runs.len());
     }
 
-    if let (Some(path), Some(runs)) = (&args.protocols, &protocols) {
-        let text = render_protocols(args.scale, runs);
-        if let Err(e) = std::fs::write(path, &text) {
-            eprintln!("bench_report: cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("bench_report: {} protocol runs -> {path}", runs.len());
-    }
-
-    if let Some(hm_path) = &args.heatmap {
-        let hm_runs = heatmap_runs(&benches, SweepRunner::from_env());
-        let hm_json: Vec<JsonValue> = hm_runs.iter().map(ToJson::to_json).collect();
+    if let Some(hm_path) = cli.value("--heatmap") {
+        let hm_runs = run_plan(heatmap_plan(&benches), runner);
         let hm_doc = json_doc("heatmap")
-            .field("scale", format!("{:?}", args.scale))
-            .field("runs", hm_json)
+            .field("scale", format!("{scale:?}"))
+            .field("runs", hm_runs.iter().map(heatmap_json).collect::<Vec<_>>())
             .build();
-        let mut hm_text = hm_doc.dump();
-        hm_text.push('\n');
-        if let Err(e) = std::fs::write(hm_path, &hm_text) {
-            eprintln!("bench_report: cannot write {hm_path}: {e}");
-            return ExitCode::from(2);
-        }
+        write_out(hm_path, &format!("{}\n", hm_doc.dump()))?;
         let critical = hm_runs
             .iter()
-            .filter_map(|r| r.heatmap.critical.as_ref().map(|c| (&r.name, c)))
+            .filter_map(|r| {
+                let hm = r.obs()?.heatmap.as_ref()?;
+                Some((&r.name, hm.critical.as_ref()?))
+            })
             .max_by(|a, b| a.1.utilization.total_cmp(&b.1.utilization));
         match critical {
             Some((name, c)) => println!(
@@ -560,39 +258,30 @@ fn main() -> ExitCode {
         }
     }
 
-    let Some(baseline_path) = &args.baseline else {
-        return ExitCode::SUCCESS;
+    let Some(baseline_path) = cli.value("--baseline") else {
+        return Ok(ExitCode::SUCCESS);
     };
-    let baseline = match std::fs::read_to_string(baseline_path)
+    let baseline = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read {baseline_path}: {e}"))
         .and_then(|s| {
             JsonValue::parse(&s).map_err(|e| format!("cannot parse {baseline_path}: {e}"))
         })
         .and_then(|doc| parse_runs(&doc))
-    {
-        Ok(b) => b,
-        Err(e) => {
+        .map_err(|e| {
             eprintln!("bench_report: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let regressions = compare(&runs, &baseline, args.tolerance_pct);
+            ExitCode::from(2)
+        })?;
+    let regressions = compare(&registries, &baseline, tolerance_pct);
     if regressions == 0 {
-        println!(
-            "bench_report: 0 regressions vs {baseline_path} (tolerance {}%)",
-            args.tolerance_pct
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "bench_report: {regressions} regression(s) vs {baseline_path} (tolerance {}%)",
-            args.tolerance_pct
-        );
-        if args.informational {
-            eprintln!("bench_report: informational mode, not failing");
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        }
+        println!("bench_report: 0 regressions vs {baseline_path} (tolerance {tolerance_pct}%)");
+        return Ok(ExitCode::SUCCESS);
     }
+    eprintln!(
+        "bench_report: {regressions} regression(s) vs {baseline_path} (tolerance {tolerance_pct}%)"
+    );
+    if cli.flag("--informational") {
+        eprintln!("bench_report: informational mode, not failing");
+        return Ok(ExitCode::SUCCESS);
+    }
+    Ok(ExitCode::FAILURE)
 }

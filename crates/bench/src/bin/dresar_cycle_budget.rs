@@ -18,6 +18,9 @@ fn show(name: &str, s: PortScheduler, batch: &[MsgType]) {
 }
 
 fn main() {
+    // No options: the parser only rejects stray arguments (a scale is accepted
+    // for uniformity with the other binaries and has no effect).
+    dresar_bench::Cli::from_env(dresar_workloads::Scale::Reduced, &[], &[]);
     println!("DRESAR cycle-budget check (window = 4 cycles, per §4.2/§4.3)\n");
     let mix4 = [ReadRequest, WriteReply, WriteBack, CtoCRequest];
     let mix8 = [

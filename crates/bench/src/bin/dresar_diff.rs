@@ -456,8 +456,10 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dresar_bench::suite;
-    use dresar_bench::sweep::{heatmap_runs, SweepRunner};
+    use dresar_bench::heatmap_json;
+    use dresar_bench::plan::suite;
+    use dresar_bench::plan::{heatmap_plan, run_plan};
+    use dresar_bench::sweep::SweepRunner;
     use dresar_workloads::Scale;
 
     /// End-to-end acceptance: diffing base vs sd1024 through the real
@@ -467,9 +469,9 @@ mod tests {
     fn base_vs_sd1024_accounts_for_the_full_latency_delta() {
         let benches = suite(Scale::Tiny);
         let fft: Vec<_> = benches.into_iter().filter(|b| b.label == "FFT").collect();
-        let runs = heatmap_runs(&fft, SweepRunner::serial());
+        let runs = run_plan(heatmap_plan(&fft), SweepRunner::serial());
         let doc = JsonValue::obj()
-            .field("runs", runs.iter().map(ToJson::to_json).collect::<Vec<_>>())
+            .field("runs", runs.iter().map(heatmap_json).collect::<Vec<_>>())
             .build();
         let views = parse_doc("doc", &doc).expect("parsed");
         let a = views.iter().find(|r| r.name == "FFT.base").expect("base run");

@@ -1,29 +1,23 @@
 //! Figure 1: fraction of reads serviced clean-from-memory vs dirty
 //! cache-to-cache, for the five scientific applications (execution-driven)
 //! and the two commercial workloads (trace-driven).
+//!
+//! Usage: `fig1 [tiny|reduced|paper] [--json]`.
 
-use dresar::TransientReadPolicy;
-use dresar_bench::{json_doc, json_requested, run_one, scale_from_args, suite};
-use dresar_stats::FigureTable;
+use dresar_bench::plan::{run_plan, suite, sweep, unobserved};
+use dresar_bench::sweep::SweepRunner;
+use dresar_bench::{fig1_table, json_doc, Cli};
 use dresar_types::ToJson;
+use dresar_workloads::Scale;
 
 fn main() {
-    let scale = scale_from_args();
-    let mut table = FigureTable::new(
-        format!("Figure 1: Fraction of Clean vs. Dirty Memory Reads (scale={scale:?})"),
-        vec!["clean %".into(), "dirty CtoC %".into(), "read misses".into()],
-        "percent of read misses",
-    );
-    for b in suite(scale) {
-        // Figure 1 characterizes the *base* machine (no switch directory).
-        let m = run_one(&b, None, TransientReadPolicy::Retry);
-        let total = m.reads.total().max(1) as f64;
-        table.push_row(
-            b.label,
-            vec![100.0 * m.reads.clean as f64 / total, 100.0 * m.reads.dirty_fraction(), total],
-        );
-    }
-    if json_requested() {
+    let cli = Cli::from_env(Scale::Reduced, &["--json"], &[]);
+    let scale = cli.scale;
+    let benches = suite(scale);
+    // Figure 1 characterizes the *base* machine (no switch directory).
+    let plan = sweep(&benches, &[("base", None)], unobserved());
+    let table = fig1_table(scale, &benches, &run_plan(plan, SweepRunner::from_env()));
+    if cli.flag("--json") {
         let doc = json_doc("fig1")
             .field("scale", format!("{scale:?}"))
             .field("table", table.to_json())

@@ -1,22 +1,19 @@
 //! Figure 2: cumulative distribution of read misses and cache-to-cache
 //! transfers over blocks (sorted by decreasing misses per block) for the
 //! TPC-C workload on the trace-driven simulator.
+//!
+//! Usage: `fig2 [tiny|reduced|paper] [--json]`.
 
-use dresar_bench::{json_doc, json_requested, scale_from_args};
-use dresar_trace_sim::TraceSimulator;
-use dresar_types::config::TraceSimConfig;
+use dresar_bench::{fig2_histogram, json_doc, Cli};
 use dresar_types::JsonValue;
-use dresar_workloads::commercial;
+use dresar_workloads::Scale;
 
 fn main() {
-    let scale = scale_from_args();
-    let workload = commercial::tpcc(16, scale.commercial_refs(), 0xD2E5_A25E);
-    let mut sim = TraceSimulator::new(TraceSimConfig::paper_base());
-    sim.collect_histogram();
-    let report = sim.run(&workload);
-    let h = report.histogram.expect("histogram collected");
+    let cli = Cli::from_env(Scale::Reduced, &["--json"], &[]);
+    let scale = cli.scale;
+    let h = fig2_histogram(scale);
 
-    if json_requested() {
+    if cli.flag("--json") {
         let points: Vec<JsonValue> = h
             .cumulative(20)
             .into_iter()

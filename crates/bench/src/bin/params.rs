@@ -4,6 +4,9 @@
 use dresar_types::config::{SystemConfig, TraceSimConfig};
 
 fn main() {
+    // No options: the parser only rejects stray arguments (a scale is accepted
+    // for uniformity with the other binaries and has no effect).
+    dresar_bench::Cli::from_env(dresar_workloads::Scale::Reduced, &[], &[]);
     let t2 = SystemConfig::paper_table2();
     println!("Table 2: Execution-Driven Simulation Parameters");
     println!("  nodes                : {}", t2.nodes);

@@ -7,25 +7,33 @@
 //! (execution-driven workloads only). Adding `--heatmap` also attaches the
 //! topology contention heatmap to each observed run (`base_heatmap` /
 //! `with_sd_heatmap`), naming the critical resource per configuration.
+//!
+//! Usage: `probe [tiny|reduced|paper] [--json [--heatmap]] [--faults SPEC]`.
 
-use dresar::TransientReadPolicy;
-use dresar_bench::{
-    faults_from_args, json_doc, json_requested, par_map, run_one, run_one_faulted,
-    run_one_observed, scale_from_args, suite,
-};
+use dresar_bench::plan::{faulted_plan, find, probe_plan, run_plan, suite, Bench, Run};
+use dresar_bench::sweep::SweepRunner;
+use dresar_bench::{json_doc, Cli};
 use dresar_faults::FaultPlan;
 use dresar_obs::{ObserverConfig, DEFAULT_ATTRIB_WINDOW};
 use dresar_stats::{percent_of, percent_reduction};
 use dresar_types::{JsonValue, ToJson};
+use dresar_workloads::Scale;
 
 fn main() {
-    let scale = scale_from_args();
-    if let Some(plan) = faults_from_args() {
-        run_faulted(scale, plan);
+    let cli = Cli::from_env(Scale::Reduced, &["--json", "--heatmap"], &["--faults"]);
+    let scale = cli.scale;
+    let benches = suite(scale);
+    if let Some(spec) = cli.value("--faults") {
+        // A typo'd schedule must never silently run fault-free.
+        let plan = FaultPlan::parse(spec).unwrap_or_else(|e| {
+            eprintln!("probe: bad fault plan '{spec}': {e}");
+            std::process::exit(2);
+        });
+        run_faulted(scale, &benches, plan, cli.flag("--json"));
         return;
     }
-    if json_requested() {
-        emit_json(scale);
+    if cli.flag("--json") {
+        emit_json(scale, &benches, cli.flag("--heatmap"));
         return;
     }
     println!("scale = {scale:?}");
@@ -42,16 +50,10 @@ fn main() {
         "exec_red%",
         "stall_red%"
     );
-    // Workloads shard across cores; results print in suite order, so the
-    // table is identical to a serial run.
-    let benches = suite(scale);
-    let pairs = par_map(&benches, |b| {
-        let t0 = std::time::Instant::now();
-        let base = run_one(b, None, TransientReadPolicy::Retry);
-        let with = run_one(b, Some(1024), TransientReadPolicy::Retry);
-        (base, with, t0.elapsed().as_secs_f64())
-    });
-    for (b, (base, with, seconds)) in benches.iter().zip(pairs) {
+    let runs = run_plan(probe_plan(&benches, ObserverConfig::default()), SweepRunner::from_env());
+    for b in &benches {
+        let (base_run, with_run) = pair(&runs, b);
+        let (base, with) = (base_run.metrics(), with_run.metrics());
         let dirty_pct = 100.0 * base.reads.dirty_fraction();
         let sd_serve_pct = percent_of(with.reads.ctoc_switch as f64, with.reads.dirty() as f64);
         let exec_red = percent_reduction(base.exec(), with.exec());
@@ -70,24 +72,31 @@ fn main() {
             exec_red,
             stall_red,
             cc_red,
-            seconds,
+            base_run.wall_seconds + with_run.wall_seconds,
         );
     }
+}
+
+/// A bench's `(base, sd1024)` runs.
+fn pair<'a>(runs: &'a [Run], b: &Bench) -> (&'a Run, &'a Run) {
+    (find(runs, &format!("{}.base", b.label)), find(runs, &format!("{}.sd1024", b.label)))
 }
 
 /// `--faults <plan>`: runs every execution-driven workload (sd1024) under
 /// the plan and prints what the injector did, the watchdog verdict, and the
 /// end-of-run coherence audit. With `--json`, emits one document instead.
-fn run_faulted(scale: dresar_workloads::Scale, plan: FaultPlan) {
-    let benches = suite(scale);
-    let runs: Vec<_> = par_map(&benches, |b| {
-        run_one_faulted(b, Some(1024), TransientReadPolicy::Retry, plan).map(|r| (b.label, r))
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    if json_requested() {
-        let workloads: Vec<JsonValue> = runs
+fn run_faulted(scale: Scale, benches: &[Bench], plan: FaultPlan, json: bool) {
+    let runs = run_plan(faulted_plan(benches, plan), SweepRunner::from_env());
+    let reports: Vec<_> = benches
+        .iter()
+        .filter(|b| b.is_execution())
+        .map(|b| {
+            let run = find(&runs, &format!("{}.faulted", b.label));
+            (b.label, run.execution().expect("faulted runs are execution-driven"))
+        })
+        .collect();
+    if json {
+        let workloads: Vec<JsonValue> = reports
             .iter()
             .map(|(label, r)| {
                 JsonValue::obj().field("label", *label).field("report", r.to_json()).build()
@@ -105,7 +114,7 @@ fn run_faulted(scale: dresar_workloads::Scale, plan: FaultPlan) {
         "{:8} {:>10} {:>8} {:>8} {:>8} {:>8} {:>10} {:>10}",
         "workload", "cycles", "dropped", "retrans", "lost", "scrubbed", "watchdog", "coherence"
     );
-    for (label, r) in &runs {
+    for (label, r) in &reports {
         let f = r.faults.unwrap_or_default();
         let wd = r.watchdog.as_ref().map_or("-", |w| w.kind.label());
         let coh = r.coherence.as_ref().map_or("-", |c| if c.ok() { "ok" } else { "VIOLATED" });
@@ -116,51 +125,53 @@ fn run_faulted(scale: dresar_workloads::Scale, plan: FaultPlan) {
     }
 }
 
-fn emit_json(scale: dresar_workloads::Scale) {
-    let heatmap = std::env::args().skip(1).any(|a| a == "--heatmap");
+fn emit_json(scale: Scale, benches: &[Bench], heatmap: bool) {
     let observers = ObserverConfig {
         latency_breakdown: true,
         heatmap_window: heatmap.then_some(DEFAULT_ATTRIB_WINDOW),
         ..Default::default()
     };
-    let benches = suite(scale);
-    let workloads: Vec<JsonValue> = par_map(&benches, |b| {
-        let (base, mut base_obs) = run_one_observed(b, None, TransientReadPolicy::Retry, observers);
-        let (with, mut with_obs) =
-            run_one_observed(b, Some(1024), TransientReadPolicy::Retry, observers);
-        let mut w = JsonValue::obj()
-            .field("label", b.label)
-            .field("base", base.to_json())
-            .field("with_sd", with.to_json())
-            .field(
-                "reductions",
-                JsonValue::obj()
-                    .field("home_ctoc_pct", percent_reduction(base.home_ctoc(), with.home_ctoc()))
-                    .field(
-                        "avg_read_latency_pct",
-                        percent_reduction(base.avg_read_latency(), with.avg_read_latency()),
-                    )
-                    .field(
-                        "read_stall_pct",
-                        percent_reduction(base.read_stall(), with.read_stall()),
-                    )
-                    .field("exec_pct", percent_reduction(base.exec(), with.exec()))
-                    .build(),
-            );
-        if let Some(bd) = base_obs.as_mut().and_then(|o| o.breakdown.take()) {
-            w = w.field("base_breakdown", bd.to_json());
-        }
-        if let Some(bd) = with_obs.as_mut().and_then(|o| o.breakdown.take()) {
-            w = w.field("with_sd_breakdown", bd.to_json());
-        }
-        if let Some(hm) = base_obs.and_then(|o| o.heatmap) {
-            w = w.field("base_heatmap", hm.to_json());
-        }
-        if let Some(hm) = with_obs.and_then(|o| o.heatmap) {
-            w = w.field("with_sd_heatmap", hm.to_json());
-        }
-        w.build()
-    });
+    let runs = run_plan(probe_plan(benches, observers), SweepRunner::from_env());
+    let workloads: Vec<JsonValue> = benches
+        .iter()
+        .map(|b| {
+            let (base_run, with_run) = pair(&runs, b);
+            let (base, with) = (base_run.metrics(), with_run.metrics());
+            let mut w = JsonValue::obj()
+                .field("label", b.label)
+                .field("base", base.to_json())
+                .field("with_sd", with.to_json())
+                .field(
+                    "reductions",
+                    JsonValue::obj()
+                        .field(
+                            "home_ctoc_pct",
+                            percent_reduction(base.home_ctoc(), with.home_ctoc()),
+                        )
+                        .field(
+                            "avg_read_latency_pct",
+                            percent_reduction(base.avg_read_latency(), with.avg_read_latency()),
+                        )
+                        .field(
+                            "read_stall_pct",
+                            percent_reduction(base.read_stall(), with.read_stall()),
+                        )
+                        .field("exec_pct", percent_reduction(base.exec(), with.exec()))
+                        .build(),
+                );
+            for (key, run) in [("base_breakdown", base_run), ("with_sd_breakdown", with_run)] {
+                if let Some(bd) = run.obs().and_then(|o| o.breakdown.as_ref()) {
+                    w = w.field(key, bd.to_json());
+                }
+            }
+            for (key, run) in [("base_heatmap", base_run), ("with_sd_heatmap", with_run)] {
+                if let Some(hm) = run.obs().and_then(|o| o.heatmap.as_ref()) {
+                    w = w.field(key, hm.to_json());
+                }
+            }
+            w.build()
+        })
+        .collect();
     let doc = json_doc("probe")
         .field("scale", format!("{scale:?}"))
         .field("workloads", workloads)

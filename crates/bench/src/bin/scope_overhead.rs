@@ -17,70 +17,55 @@
 //! ```
 //!
 //! Both configurations run the identical workload through the identical
-//! harness ([`dresar_bench::run_one_observed`]); only the observer config
+//! runner ([`dresar_bench::plan::run_plan`]); only the observer config
 //! differs, so the ratio isolates the probe dispatch + ring-write cost.
 //! Per-config throughput is the *best* of `--repeats` runs (default 3):
 //! minimum-noise estimators compare far more stably than means on shared
 //! CI hosts.
 
-use dresar::TransientReadPolicy;
-use dresar_bench::{json_doc, run_one_observed, scale_from_args, suite, Bench};
+use dresar::system::RunOptions;
+use dresar_bench::plan::{run_plan, suite, sweep, Bench, Run};
+use dresar_bench::sweep::SweepRunner;
+use dresar_bench::{json_doc, Cli};
 use dresar_obs::{ObserverConfig, DEFAULT_FLIGHT_CAPACITY};
-use std::time::Instant;
+use dresar_workloads::Scale;
 
 fn main() {
-    let scale = scale_from_args();
-    let mut repeats = 3usize;
-    let mut max_overhead_pct: Option<f64> = None;
-    let mut emit_trace = false;
-    let mut args = std::env::args().skip(1).peekable();
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("error: {flag} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--repeats" => repeats = parse_num(&value("--repeats"), "--repeats").max(1.0) as usize,
-            "--max-overhead-pct" => {
-                max_overhead_pct =
-                    Some(parse_num(&value("--max-overhead-pct"), "--max-overhead-pct"))
-            }
-            "--emit-trace" => emit_trace = true,
-            _ => {} // scale positional / shared flags handled by the lib
-        }
-    }
+    let cli =
+        Cli::from_env(Scale::Reduced, &["--emit-trace"], &["--repeats", "--max-overhead-pct"]);
+    let scale = cli.scale;
+    let repeats = cli.value("--repeats").map_or(3, |v| parse_num(v, "--repeats").max(1.0) as usize);
+    let max_overhead_pct =
+        cli.value("--max-overhead-pct").map(|v| parse_num(v, "--max-overhead-pct"));
 
     let benches = suite(scale);
-    let bench =
-        benches.iter().find(|b| b.label == "FFT").expect("suite always contains the FFT workload");
+    let fft = benches.iter().find(|b| b.label == "FFT").expect("suite always contains FFT");
 
-    if emit_trace {
+    if cli.flag("--emit-trace") {
         let observers = ObserverConfig { trace: true, ..ObserverConfig::default() };
-        let (_, obs) = run_one_observed(bench, Some(1024), TransientReadPolicy::Retry, observers);
-        let trace = obs.and_then(|o| o.trace).expect("traced execution-driven run yields a trace");
-        print!("{trace}");
+        let run = run_fft(fft, observers);
+        let trace = run.obs().and_then(|o| o.trace.as_ref());
+        print!("{}", trace.expect("traced execution-driven run yields a trace"));
         return;
     }
 
     let null_cfg = ObserverConfig::default();
     let flight_cfg =
         ObserverConfig { flight: Some(DEFAULT_FLIGHT_CAPACITY), ..ObserverConfig::default() };
-    // Warm caches/allocator once, untimed.
-    run_one_observed(bench, Some(1024), TransientReadPolicy::Retry, null_cfg);
+    // Warm caches/allocator (and generate the workload) once, untimed.
+    run_fft(fft, null_cfg);
 
     let mut best_null = 0.0f64;
     let mut best_flight = 0.0f64;
     for _ in 0..repeats {
-        best_null = best_null.max(throughput(bench, null_cfg));
-        best_flight = best_flight.max(throughput(bench, flight_cfg));
+        best_null = best_null.max(throughput(&run_fft(fft, null_cfg)));
+        best_flight = best_flight.max(throughput(&run_fft(fft, flight_cfg)));
     }
     let overhead_pct = 100.0 * (best_null - best_flight) / best_null;
 
     let doc = json_doc("scope-overhead")
         .field("scale", format!("{scale:?}"))
-        .field("workload", bench.label)
+        .field("workload", fft.label)
         .field("repeats", repeats as u64)
         .field("null_probe_cycles_per_sec", best_null)
         .field("flight_cycles_per_sec", best_flight)
@@ -97,12 +82,16 @@ fn main() {
     }
 }
 
-/// Simulated cycles per wall-clock second for one run under `observers`.
-fn throughput(bench: &Bench, observers: ObserverConfig) -> f64 {
-    let t0 = Instant::now();
-    let (m, _) = run_one_observed(bench, Some(1024), TransientReadPolicy::Retry, observers);
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
-    m.exec_cycles as f64 / secs
+/// One FFT sd1024 run under `observers`, on the calling thread.
+fn run_fft(fft: &Bench, observers: ObserverConfig) -> Run {
+    let plan =
+        sweep([fft], &[("sd1024", Some(1024))], RunOptions { observers, ..RunOptions::default() });
+    run_plan(plan, SweepRunner::serial()).remove(0)
+}
+
+/// Simulated cycles per wall-clock second of one run.
+fn throughput(run: &Run) -> f64 {
+    run.metrics().exec_cycles as f64 / run.wall_seconds.max(1e-9)
 }
 
 fn parse_num(value: &str, flag: &str) -> f64 {

@@ -1,45 +1,48 @@
 //! # dresar-bench
 //!
 //! The evaluation harness: everything needed to regenerate the paper's
-//! tables and figures.
+//! tables and figures. Every simulation is an entry of a declarative
+//! [`plan`], executed by the one runner [`plan::run_plan`]; the binaries are
+//! views over plans.
 //!
 //! Binaries (all accept an optional scale argument `tiny|reduced|paper`,
-//! default `reduced`):
+//! default `reduced` — `bench_report` defaults to `tiny` — and exit 2 on an
+//! unknown scale or flag):
 //!
 //! * `fig1` — clean vs dirty read fractions per workload (Figure 1);
 //! * `fig2` — cumulative miss/CtoC distribution over blocks for TPC-C
 //!   (Figure 2);
-//! * `fig8`–`fig11` — normalized reductions (home-node CtoC transfers,
-//!   average read latency, read stall time, execution time) across
-//!   switch-directory sizes 256–2048 (Figures 8–11);
+//! * `all_figures` — Figures 1, 2 and 8–11 (normalized reductions in
+//!   home-node CtoC transfers, average read latency, read stall time and
+//!   execution time across switch-directory sizes 256–2048) from one sweep,
+//!   as an EXPERIMENTS.md-style report;
 //! * `params` — prints the Table 2 / Table 3 configurations in use;
 //! * `dresar_cycle_budget` — the §4.2/§4.3 port-scheduling budget check
 //!   (Figures 5–7 arithmetic);
-//! * `all_figures` — runs everything and emits an EXPERIMENTS.md-style
-//!   report.
+//! * `probe`, `ablations` — calibration table and design-choice ablations;
+//! * `bench_report`, `dresar_diff`, `scope_overhead` — telemetry, its
+//!   explainer and the observability cost guard.
 //!
 //! Timing benches (plain `std::time` harnesses, run with `cargo bench`):
 //! `switchdir_micro` (snoop/insert throughput), `crossbar` (flit-level
 //! arbitration), `figures` (end-to-end per-workload simulation cost) and
 //! `ablations` (design-choice comparisons).
 //!
-//! The `probe`, `ablations` and `fig*` binaries also accept `--json` to
-//! emit their results as a single machine-readable JSON document on
-//! stdout (see the README's "Observability" section).
+//! The `probe`, `ablations`, `fig1`, `fig2` and `all_figures` binaries also
+//! accept `--json` to emit their results as a single machine-readable JSON
+//! document on stdout (see the README's "Observability" section).
 
+pub mod benefit;
 pub mod harness;
+pub mod plan;
 pub mod sweep;
 
-use dresar::system::{RunOptions, System};
-use dresar::TransientReadPolicy;
-use dresar_faults::FaultPlan;
-use dresar_obs::{ObsReport, ObserverConfig};
-use dresar_stats::ReadStats;
+use dresar_stats::{percent_reduction, BlockHistogram, FigureTable, ReadStats};
 use dresar_trace_sim::TraceSimulator;
-use dresar_types::config::{SwitchDirConfig, SystemConfig, TraceSimConfig};
-use dresar_types::{JsonValue, ToJson, Workload};
-use dresar_workloads::Scale;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use dresar_types::config::TraceSimConfig;
+use dresar_types::{JsonValue, ToJson};
+use dresar_workloads::{commercial, Scale};
+use plan::{find, Bench, Run, COMMERCIAL_SEED, SIZE_CONFIGS};
 
 /// Figure-relevant metrics extracted from either simulator.
 #[derive(Debug, Clone, Copy, Default)]
@@ -85,282 +88,123 @@ impl ToJson for Metrics {
     }
 }
 
-/// A workload paired with the simulator that evaluates it (the paper runs
-/// scientific applications execution-driven and commercial traces
-/// trace-driven).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Driver {
-    /// Execution-driven 16-node system (Table 2).
-    Execution,
-    /// Trace-driven constant-latency model (Table 3).
-    Trace,
-}
-
-/// One evaluated workload.
-pub struct Bench {
-    /// Display name matching the paper's figures.
-    pub label: &'static str,
-    /// The reference streams.
-    pub workload: Workload,
-    /// Which simulator drives it.
-    pub driver: Driver,
-}
-
-/// The paper's seven-workload evaluation suite at a given scale.
-pub fn suite(scale: Scale) -> Vec<Bench> {
-    let p = 16;
-    let sci = dresar_workloads::scientific_suite(p, scale);
-    let mut out: Vec<Bench> = sci
-        .into_iter()
-        .zip(["FFT", "TC", "SOR", "FWA", "GAUSS"])
-        .map(|(workload, label)| Bench { label, workload, driver: Driver::Execution })
-        .collect();
-    for (workload, label) in dresar_workloads::commercial_suite(p, scale, 0xD2E5_A25E)
-        .into_iter()
-        .zip(["TPC-C", "TPC-D"])
-    {
-        out.push(Bench { label, workload, driver: Driver::Trace });
+/// Figure 1 (clean vs dirty read fractions on the base machine) from a
+/// plan holding each bench's `base` run.
+pub fn fig1_table(scale: Scale, benches: &[Bench], runs: &[Run]) -> FigureTable {
+    let mut table = FigureTable::new(
+        format!("Figure 1: Fraction of Clean vs. Dirty Memory Reads (scale={scale:?})"),
+        vec!["clean %".into(), "dirty CtoC %".into(), "read misses".into()],
+        "percent of read misses",
+    );
+    for b in benches {
+        let m = find(runs, &format!("{}.base", b.label)).metrics();
+        let total = m.reads.total().max(1) as f64;
+        table.push_row(
+            b.label,
+            vec![100.0 * m.reads.clean as f64 / total, 100.0 * m.reads.dirty_fraction(), total],
+        );
     }
-    out
+    table
 }
 
-/// Runs one workload with an optional switch-directory size.
-pub fn run_one(bench: &Bench, sd_entries: Option<u32>, policy: TransientReadPolicy) -> Metrics {
-    run_one_observed(bench, sd_entries, policy, ObserverConfig::default()).0
+/// One of the Figure 8–11 reductions over the switch-directory size sweep.
+#[derive(Debug, Clone, Copy)]
+pub struct SizeFigure {
+    /// Short name (`"fig8"`), the key in `all_figures --json`.
+    pub tool: &'static str,
+    /// Table title.
+    pub title: &'static str,
+    /// Markdown heading in the `all_figures` report.
+    pub heading: &'static str,
+    /// The reduced metric.
+    pub metric: fn(&Metrics) -> f64,
+    /// What the paper reports for this figure.
+    pub paper: &'static str,
 }
 
-/// [`run_one`] with observers attached. Only the execution-driven simulator
-/// is instrumented; trace-driven workloads return `None` for the payload.
-pub fn run_one_observed(
-    bench: &Bench,
-    sd_entries: Option<u32>,
-    policy: TransientReadPolicy,
-    observers: ObserverConfig,
-) -> (Metrics, Option<ObsReport>) {
-    let sd =
-        sd_entries.map(|entries| SwitchDirConfig { entries, ..SwitchDirConfig::paper_default() });
-    match bench.driver {
-        Driver::Execution => {
-            let mut cfg = SystemConfig::paper_table2();
-            cfg.switch_dir = sd;
-            let report = System::new(cfg, &bench.workload).run(RunOptions {
-                transient_policy: policy,
-                observers,
-                ..RunOptions::default()
-            });
-            (
-                Metrics {
-                    reads: report.reads,
-                    exec_cycles: report.cycles,
-                    sd_hits: report.sd.read_hits,
-                },
-                report.obs,
-            )
-        }
-        Driver::Trace => {
-            let mut cfg = TraceSimConfig::paper_table3();
-            cfg.switch_dir = sd;
-            let report = TraceSimulator::new(cfg).run(&bench.workload);
-            (
-                Metrics {
-                    reads: report.reads,
-                    exec_cycles: report.exec_cycles,
-                    sd_hits: report.sd.read_hits,
-                },
-                None,
-            )
-        }
-    }
-}
+/// Figures 8–11, in paper order.
+pub const SIZE_FIGURES: [SizeFigure; 4] = [
+    SizeFigure {
+        tool: "fig8",
+        title: "Figure 8: Reduction in Home Node CtoC Transfers",
+        heading: "Figure 8 — reduction in home-node CtoC transfers (% vs base)",
+        metric: Metrics::home_ctoc,
+        paper: "Paper: FFT 66%, TC 68%, others 42-52%, TPC-C up to 51%, TPC-D 17%; 1K is the knee.",
+    },
+    SizeFigure {
+        tool: "fig9",
+        title: "Figure 9: Reduction in the Average Read Latency",
+        heading: "Figure 9 — reduction in average read latency (% vs base)",
+        metric: Metrics::avg_read_latency,
+        paper: "Paper: scientific 8-23%, TPC-C up to 10%, TPC-D up to 5%.",
+    },
+    SizeFigure {
+        tool: "fig10",
+        title: "Figure 10: Reduction in the Read Stall Time",
+        heading: "Figure 10 — reduction in read stall time (% vs base)",
+        metric: Metrics::read_stall,
+        paper: "Paper: stall reductions track Figure 9, slightly amplified.",
+    },
+    SizeFigure {
+        tool: "fig11",
+        title: "Figure 11: Execution Time Reduction",
+        heading: "Figure 11 — reduction in execution time (% vs base)",
+        metric: Metrics::exec,
+        paper: "Paper: SOR up to 9%, FFT/TC ~4%, TPC-C ~4%, TPC-D ~2%, others negligible.",
+    },
+];
 
-/// Runs one execution-driven workload under a deterministic fault plan
-/// (switch-directory scrubs, eviction storms, disable windows, message
-/// drops — see [`FaultPlan::parse`]) and returns its full report. Returns
-/// `None` for trace-driven workloads: the constant-latency model has no
-/// message system to inject faults into.
-pub fn run_one_faulted(
-    bench: &Bench,
-    sd_entries: Option<u32>,
-    policy: TransientReadPolicy,
-    plan: FaultPlan,
-) -> Option<dresar::system::ExecutionReport> {
-    if bench.driver != Driver::Execution {
-        return None;
-    }
-    let mut cfg = SystemConfig::paper_table2();
-    cfg.switch_dir =
-        sd_entries.map(|entries| SwitchDirConfig { entries, ..SwitchDirConfig::paper_default() });
-    Some(System::new(cfg, &bench.workload).run(RunOptions {
-        transient_policy: policy,
-        faults: Some(plan),
-        watchdog: Some(dresar_faults::WatchdogConfig::default()),
-        verify_coherence: true,
-        ..RunOptions::default()
-    }))
-}
-
-/// Parses `--faults <spec>` from the CLI (`key=value` pairs, comma
-/// separated — e.g. `--faults seed=7,drop_ppm=2000,disable_at=50000`).
-/// Returns `None` when the flag is absent; exits with a message on a
-/// malformed spec so a typo'd schedule never silently runs fault-free.
-pub fn faults_from_args() -> Option<FaultPlan> {
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        if a == "--faults" {
-            let spec = it.next().unwrap_or_else(|| {
-                eprintln!("--faults needs a plan spec (key=value,...)");
-                std::process::exit(2);
-            });
-            return Some(FaultPlan::parse(&spec).unwrap_or_else(|e| {
-                eprintln!("bad fault plan '{spec}': {e}");
-                std::process::exit(2);
-            }));
-        }
-    }
-    None
-}
-
-/// Runs one workload and returns its deterministic component-metrics
-/// registry. Execution-driven workloads return the simulator's full
-/// snapshot; trace-driven ones get a registry assembled from the trace
-/// report's counters (the constant-latency model has no event engine or
-/// flit network to instrument).
-pub fn run_one_registry(
-    bench: &Bench,
-    sd_entries: Option<u32>,
-    policy: TransientReadPolicy,
-) -> dresar_obs::MetricsRegistry {
-    let sd =
-        sd_entries.map(|entries| SwitchDirConfig { entries, ..SwitchDirConfig::paper_default() });
-    match bench.driver {
-        Driver::Execution => {
-            let mut cfg = SystemConfig::paper_table2();
-            cfg.switch_dir = sd;
-            System::new(cfg, &bench.workload)
-                .run(RunOptions { transient_policy: policy, ..RunOptions::default() })
-                .metrics
-        }
-        Driver::Trace => {
-            let mut cfg = TraceSimConfig::paper_table3();
-            cfg.switch_dir = sd;
-            let r = TraceSimulator::new(cfg).run(&bench.workload);
-            let mut m = dresar_obs::MetricsRegistry::new();
-            m.counter("trace.exec_cycles", r.exec_cycles);
-            m.counter("trace.read_hits", r.read_hits);
-            m.counter("trace.writes", r.writes);
-            m.counter("reads.clean", r.reads.clean);
-            m.counter("reads.ctoc_home", r.reads.ctoc_home);
-            m.counter("reads.ctoc_switch", r.reads.ctoc_switch);
-            m.counter("reads.latency_cycles", r.reads.latency_cycles);
-            m.counter("reads.stall_cycles", r.reads.stall_cycles);
-            m.counter("reads.retries", r.reads.retries);
-            m.counter("home.lookups", r.dir.lookups);
-            m.counter("home.reads_ctoc", r.dir.reads_ctoc);
-            m.counter("home.invals_sent", r.dir.invals_sent);
-            m.counter("home.naks", r.dir.naks);
-            if sd_entries.is_some() {
-                m.counter("sd.snoops", r.sd.snoops);
-                m.counter("sd.read_hits", r.sd.read_hits);
-                m.counter("sd.inserts", r.sd.inserts);
-                m.counter("sd.evictions", r.sd.evictions);
-                m.counter("sd.copybacks_marked", r.sd.copybacks_marked);
-            }
-            m
-        }
-    }
-}
-
-/// Sweep result for one workload: the base system plus every directory
-/// size.
-pub struct Sweep {
-    /// Workload label.
-    pub label: &'static str,
-    /// Base (no switch directory).
-    pub base: Metrics,
-    /// `(entries, metrics)` per swept size.
-    pub sized: Vec<(u32, Metrics)>,
-}
-
-/// Order-preserving parallel map over a shared worker pool (one thread per
-/// available core unless `DRESAR_SWEEP_THREADS` overrides — see
-/// [`sweep::thread_count`] — with work handed out through an atomic
-/// cursor).
-pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let n = items.len();
-    let workers = sweep::thread_count().min(n);
-    if n <= 1 || workers <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let f = &f;
-                let cursor = &cursor;
-                s.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            return done;
-                        }
-                        done.push((i, f(&items[i])));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, r) in h.join().expect("bench worker panicked") {
-                results[i] = Some(r);
-            }
-        }
-    });
-    results.into_iter().map(|r| r.unwrap()).collect()
-}
-
-/// The paper's Figure 8–11 sweep: sizes 256–2048 vs base, across the whole
-/// suite. Parallelized over (workload x configuration).
-pub fn full_sweep(scale: Scale) -> Vec<Sweep> {
-    let benches = suite(scale);
-    let sizes = [256u32, 512, 1024, 2048];
-    // Flatten (workload x config) into one job list so the pool stays busy
-    // even when one workload dominates the runtime.
-    let jobs: Vec<(usize, Option<u32>)> = (0..benches.len())
-        .flat_map(|bi| std::iter::once((bi, None)).chain(sizes.iter().map(move |&s| (bi, Some(s)))))
-        .collect();
-    let metrics = par_map(&jobs, |&(bi, sd)| run_one(&benches[bi], sd, TransientReadPolicy::Retry));
-    let stride = 1 + sizes.len();
-    benches
+/// Figures 8–11 (percent reduction vs base at each switch-directory size)
+/// from a [`plan::size_plan`] run, in [`SIZE_FIGURES`] order.
+pub fn size_tables(scale: Scale, benches: &[Bench], runs: &[Run]) -> Vec<FigureTable> {
+    SIZE_FIGURES
         .iter()
-        .enumerate()
-        .map(|(bi, b)| Sweep {
-            label: b.label,
-            base: metrics[bi * stride],
-            sized: sizes
-                .iter()
-                .enumerate()
-                .map(|(si, &s)| (s, metrics[bi * stride + 1 + si]))
-                .collect(),
+        .map(|f| {
+            let metric = f.metric;
+            let mut table = FigureTable::new(
+                format!("{} (scale={scale:?})", f.title),
+                vec!["256".into(), "512".into(), "1K".into(), "2K".into()],
+                "% reduction vs base",
+            );
+            for b in benches {
+                let run = |tag: &str| find(runs, &format!("{}.{tag}", b.label)).metrics();
+                let base = metric(&run("base"));
+                let vals = SIZE_CONFIGS[1..]
+                    .iter()
+                    .map(|&(tag, _)| percent_reduction(base, metric(&run(tag))))
+                    .collect();
+                table.push_row(b.label, vals);
+            }
+            table
         })
         .collect()
 }
 
-/// Scale argument parsing shared by the binaries: first non-flag CLI arg,
-/// default `reduced`. Flags (`--json`, ...) are ignored here.
-pub fn scale_from_args() -> Scale {
-    let arg =
-        std::env::args().skip(1).find(|a| !a.starts_with("--")).unwrap_or_else(|| "reduced".into());
-    Scale::parse(&arg).unwrap_or_else(|| {
-        eprintln!("unknown scale '{arg}', expected tiny|reduced|paper; using reduced");
-        Scale::Reduced
-    })
+/// Figure 2's input: the TPC-C block histogram from the trace-driven base
+/// machine. The one simulation outside the run plan — it needs the trace
+/// simulator's histogram collection, which no other figure uses.
+pub fn fig2_histogram(scale: Scale) -> BlockHistogram {
+    let workload = commercial::tpcc(16, scale.commercial_refs(), COMMERCIAL_SEED);
+    let mut sim = TraceSimulator::new(TraceSimConfig::paper_base());
+    sim.collect_histogram();
+    sim.run(&workload).histogram.expect("histogram collected")
 }
 
-/// Whether `--json` was passed: binaries switch from human-readable tables
-/// to a single JSON document on stdout.
-pub fn json_requested() -> bool {
-    std::env::args().skip(1).any(|a| a == "--json")
+/// One run of the `--heatmap` document (the input format of `dresar_diff`):
+/// the figure metrics, the per-phase latency breakdown (phase sums telescope
+/// to `reads.latency_cycles` exactly, which is what lets `dresar_diff`
+/// attribute a cycle delta with zero residual) and the contention heatmap.
+///
+/// # Panics
+/// If the run did not record both observers (see [`plan::heatmap_plan`]).
+pub fn heatmap_json(run: &Run) -> JsonValue {
+    let obs = run.obs().expect("heatmap runs are observed");
+    JsonValue::obj()
+        .field("name", run.name.as_str())
+        .field("metrics", run.metrics().to_json())
+        .field("breakdown", obs.breakdown.as_ref().expect("breakdown observed").to_json())
+        .field("heatmap", obs.heatmap.as_ref().expect("heatmap observed").to_json())
+        .build()
 }
 
 /// Starts a machine-readable JSON document. Every `--json` emitter goes
@@ -370,24 +214,95 @@ pub fn json_doc(tool: &str) -> dresar_types::ObjBuilder {
     JsonValue::obj().field("schema_version", dresar_types::SCHEMA_VERSION).field("tool", tool)
 }
 
+/// A bench binary's parsed command line: an optional scale positional
+/// (`tiny|reduced|paper`) followed or preceded by the binary's own flags.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cli {
+    /// The requested scale (the binary's default when none was given).
+    pub scale: Scale,
+    flags: Vec<(String, Option<String>)>,
+}
+
+impl Cli {
+    /// Parses `args` (program name excluded). `switches` are flags without a
+    /// value, `valued` flags take the next argument. An unknown scale, an
+    /// unknown flag or a valued flag missing its value is an error.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        default_scale: Scale,
+        switches: &[&str],
+        valued: &[&str],
+    ) -> Result<Cli, String> {
+        let mut cli = Cli { scale: default_scale, flags: Vec::new() };
+        let mut it = args.into_iter();
+        while let Some(a) = it.next() {
+            if switches.contains(&a.as_str()) {
+                cli.flags.push((a, None));
+            } else if valued.contains(&a.as_str()) {
+                let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
+                cli.flags.push((a, Some(v)));
+            } else if a.starts_with('-') {
+                return Err(format!("unknown flag '{a}'"));
+            } else {
+                cli.scale = Scale::parse(&a)
+                    .ok_or_else(|| format!("unknown scale '{a}', expected tiny|reduced|paper"))?;
+            }
+        }
+        Ok(cli)
+    }
+
+    /// [`Cli::parse`] over the process arguments; on an error prints it and
+    /// exits with status 2.
+    pub fn from_env(default_scale: Scale, switches: &[&str], valued: &[&str]) -> Cli {
+        let mut args = std::env::args();
+        let tool = args.next().unwrap_or_default();
+        let tool = tool.rsplit('/').next().unwrap_or("dresar-bench").to_string();
+        Cli::parse(args, default_scale, switches, valued).unwrap_or_else(|e| {
+            eprintln!("{tool}: {e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Whether the switch `name` was given.
+    pub fn flag(&self, name: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f == name)
+    }
+
+    /// The last value given for the valued flag `name`.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.flags.iter().rev().find(|(f, _)| f == name).and_then(|(_, v)| v.as_deref())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn suite_has_the_papers_seven_workloads() {
-        let s = suite(Scale::Tiny);
-        let labels: Vec<_> = s.iter().map(|b| b.label).collect();
-        assert_eq!(labels, vec!["FFT", "TC", "SOR", "FWA", "GAUSS", "TPC-C", "TPC-D"]);
-        assert!(s[..5].iter().all(|b| b.driver == Driver::Execution));
-        assert!(s[5..].iter().all(|b| b.driver == Driver::Trace));
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        let args = args.iter().map(|a| a.to_string());
+        Cli::parse(args, Scale::Reduced, &["--json"], &["--out"])
     }
 
     #[test]
-    fn run_one_produces_reads() {
-        let s = suite(Scale::Tiny);
-        let m = run_one(&s[0], Some(1024), TransientReadPolicy::Retry);
-        assert!(m.reads.total() > 0);
-        assert!(m.exec_cycles > 0);
+    fn cli_accepts_scale_and_flags_in_any_order() {
+        let cli = parse(&["--out", "x.json", "tiny", "--json"]).unwrap();
+        assert_eq!(cli.scale, Scale::Tiny);
+        assert!(cli.flag("--json"));
+        assert_eq!(cli.value("--out"), Some("x.json"));
+        let cli = parse(&[]).unwrap();
+        assert_eq!(cli.scale, Scale::Reduced);
+        assert!(!cli.flag("--json"));
+        assert_eq!(cli.value("--out"), None);
+    }
+
+    #[test]
+    fn cli_rejects_unknown_scales_flags_and_missing_values() {
+        assert_eq!(
+            parse(&["tyni"]),
+            Err("unknown scale 'tyni', expected tiny|reduced|paper".into())
+        );
+        assert_eq!(parse(&["tiny", "--jsn"]), Err("unknown flag '--jsn'".into()));
+        assert_eq!(parse(&["-j"]), Err("unknown flag '-j'".into()));
+        assert_eq!(parse(&["--out"]), Err("--out needs a value".into()));
     }
 }

@@ -1,8 +1,8 @@
-//! Deterministic parallel sweep execution.
+//! Deterministic parallel job execution, the pool under
+//! [`crate::plan::run_plan`].
 //!
 //! Every run in the evaluation suite is independent — each builds its own
-//! [`dresar::system::System`] (or trace simulator) from a config and a
-//! workload — so the suite shards across cores. The contract that makes
+//! simulator from a config and a workload — so a plan shards across cores. The contract that makes
 //! this safe to put under the regression gate: **output is byte-identical
 //! to a serial execution**. The runner guarantees it structurally:
 //!
@@ -10,40 +10,19 @@
 //!   simulator inside the worker thread);
 //! * results land in a slot table indexed by submission order, so assembly
 //!   never observes completion order;
-//! * anything order-dependent downstream (the `runs` array of
-//!   `BENCH_dresar.json`) is sorted by run name, same as the serial path.
+//! * anything order-dependent downstream (every plan's runs) is sorted by
+//!   run name, same as the serial path.
 //!
 //! Thread count comes from `DRESAR_SWEEP_THREADS` (0 or unset → one per
 //! available core); `DRESAR_SWEEP_THREADS=1` forces serial execution,
 //! which CI uses on one leg of the identity check.
 
-use crate::{run_one_faulted, run_one_observed, run_one_registry, Bench, Driver, Metrics};
-use dresar::system::{RunOptions, System};
-use dresar::TransientReadPolicy;
-use dresar_faults::FaultPlan;
-use dresar_interconnect::{routes, Bmin, FlitNetwork};
-use dresar_obs::{
-    Heatmap, LatencyBreakdown, MetricValue, MetricsRegistry, ObserverConfig, RunTiming,
-    DEFAULT_ATTRIB_WINDOW,
-};
-use dresar_types::config::{SwitchDirConfig, SystemConfig};
-use dresar_types::{JsonValue, Protocol, ToJson, Workload};
-use dresar_workloads::{scientific, Scale};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// A boxed sweep job: runs once on a worker thread, yielding `R`.
 pub type Job<'a, R> = Box<dyn FnOnce() -> R + Send + 'a>;
-
-/// One named deterministic run in a `bench_report` document.
-pub struct RunResult {
-    /// Run name, `<workload>.<config>` (e.g. `"FFT.sd1024"`).
-    pub name: String,
-    /// The run's deterministic component-metrics registry.
-    pub metrics: MetricsRegistry,
-}
 
 /// Sweep thread count: `DRESAR_SWEEP_THREADS` if set and nonzero, else one
 /// per available core.
@@ -75,12 +54,6 @@ impl SweepRunner {
     /// Runner with an explicit worker count (clamped to at least 1).
     pub fn with_threads(threads: usize) -> Self {
         SweepRunner { threads: threads.max(1) }
-    }
-
-    /// This runner's worker count (what [`ServicePool::start`] sizes its
-    /// persistent pool by).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Executes `jobs`, returning the `i`-th job's result at index `i`.
@@ -233,715 +206,13 @@ impl std::error::Error for SweepPanicReport {}
 
 /// Stringifies a caught panic payload (the `&str`/`String` forms `panic!`
 /// produces; anything else becomes an opaque marker).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Runs one fallible job body under a panic guard, converting an unwind
-/// into [`SubmitError::JobPanicked`]. This is the per-job isolation the
-/// serving layer wraps engine executions in: the worker thread survives,
-/// and the panic becomes a structured error the request path can serve as
-/// an HTTP 500 instead of a dead pool.
-pub fn catch_job_panic<R>(f: impl FnOnce() -> R) -> Result<R, SubmitError> {
-    catch_unwind(AssertUnwindSafe(f))
-        .map_err(|payload| SubmitError::JobPanicked { message: panic_message(&*payload) })
-}
-
-/// The standard `bench_report` run set, executed through `runner`: every
-/// suite workload at base and 1K-entry switch directory, the degraded-SD
-/// robustness run, and the crossbar validation batch. Returns the runs
-/// sorted by name plus the per-run host wall-clock breakdown (timings are
-/// in job-submission order; their names are deterministic, the seconds are
-/// host measurements).
-pub fn standard_runs(benches: &[Bench], runner: SweepRunner) -> (Vec<RunResult>, Vec<RunTiming>) {
-    // One job per workload chain: the degraded run's fault schedule is
-    // derived from the sd1024 cycle count, so the three runs of one
-    // workload are sequential by construction; distinct workloads shard.
-    let mut jobs: Vec<Job<'_, Vec<(RunResult, f64)>>> = Vec::new();
-    for b in benches {
-        jobs.push(Box::new(move || workload_chain(b)));
-    }
-    jobs.push(Box::new(|| {
-        let t0 = Instant::now();
-        let metrics = crossbar_validation();
-        vec![(RunResult { name: "xbar.validation".into(), metrics }, t0.elapsed().as_secs_f64())]
-    }));
-    let mut runs = Vec::new();
-    let mut timings = Vec::new();
-    for chain in runner.run_jobs(jobs) {
-        for (run, seconds) in chain {
-            timings.push(RunTiming { name: run.name.clone(), wall_seconds: seconds });
-            runs.push(run);
-        }
-    }
-    runs.sort_by(|a, b| a.name.cmp(&b.name));
-    (runs, timings)
-}
-
-/// One workload's sequential run chain: base, sd1024, then the degraded-SD
-/// run whose fault point derives from the sd1024 cycle count.
-fn workload_chain(b: &Bench) -> Vec<(RunResult, f64)> {
-    let mut out = Vec::new();
-    let mut sd1024_cycles = 0u64;
-    for (tag, sd) in [("base", None), ("sd1024", Some(1024))] {
-        let t0 = Instant::now();
-        let metrics = run_one_registry(b, sd, TransientReadPolicy::Retry);
-        let seconds = t0.elapsed().as_secs_f64();
-        if tag == "sd1024" {
-            if let Some(MetricValue::Counter(c)) = metrics.get("sim.cycles") {
-                sd1024_cycles = *c;
-            }
-        }
-        out.push((RunResult { name: format!("{}.{}", b.label, tag), metrics }, seconds));
-    }
-    let t0 = Instant::now();
-    if let Some(m) = sd_degraded_run(b, sd1024_cycles) {
-        out.push((
-            RunResult { name: format!("{}.sd-degraded", b.label), metrics: m },
-            t0.elapsed().as_secs_f64(),
-        ));
-    }
-    out
-}
-
-/// One observed run in a `--heatmap` document: the figure metrics, the
-/// per-phase read-latency breakdown, and the topology contention heatmap.
-pub struct HeatmapRun {
-    /// Run name, `<workload>.<config>` (same scheme as [`RunResult`]).
-    pub name: String,
-    /// The run's figure metrics.
-    pub metrics: Metrics,
-    /// Per-phase latency breakdown (phase sums telescope to
-    /// `reads.latency_cycles` exactly, which is what lets `dresar_diff`
-    /// attribute a cycle delta with zero residual).
-    pub breakdown: LatencyBreakdown,
-    /// Per-resource contention attribution.
-    pub heatmap: Heatmap,
-}
-
-impl ToJson for HeatmapRun {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::obj()
-            .field("name", self.name.as_str())
-            .field("metrics", self.metrics.to_json())
-            .field("breakdown", self.breakdown.to_json())
-            .field("heatmap", self.heatmap.to_json())
-            .build()
-    }
-}
-
-/// The `--heatmap` run set, executed through `runner`: every
-/// execution-driven suite workload at base and 1K-entry switch directory,
-/// with the latency-breakdown and contention-attribution observers on.
-/// Trace-driven workloads are skipped — the constant-latency model has no
-/// topology to attribute. Runs come back sorted by name, and the output is
-/// byte-identical across thread counts for the same reasons as
-/// [`standard_runs`] (independent jobs, submission-order slots, name sort).
-pub fn heatmap_runs(benches: &[Bench], runner: SweepRunner) -> Vec<HeatmapRun> {
-    let observers = ObserverConfig {
-        latency_breakdown: true,
-        heatmap_window: Some(DEFAULT_ATTRIB_WINDOW),
-        ..Default::default()
-    };
-    let mut jobs: Vec<Job<'_, Option<HeatmapRun>>> = Vec::new();
-    for b in benches.iter().filter(|b| b.driver == Driver::Execution) {
-        for (tag, sd) in [("base", None), ("sd1024", Some(1024))] {
-            jobs.push(Box::new(move || {
-                let (metrics, obs) = run_one_observed(b, sd, TransientReadPolicy::Retry, observers);
-                let obs = obs?;
-                Some(HeatmapRun {
-                    name: format!("{}.{}", b.label, tag),
-                    metrics,
-                    breakdown: obs.breakdown?,
-                    heatmap: obs.heatmap?,
-                })
-            }));
-        }
-    }
-    let mut runs: Vec<HeatmapRun> = runner.run_jobs(jobs).into_iter().flatten().collect();
-    runs.sort_by(|a, b| a.name.cmp(&b.name));
-    runs
-}
-
-/// The `--scaling` machine-size ladder: the paper's 16-node 2-stage BMIN,
-/// then the 3- and 4-stage radix-4 machines up to the full 256-node
-/// `NodeId` range. Each step adds one stage to the home path, which is
-/// exactly the variable the paper's benefit argument turns on.
-pub const SCALING_POINTS: [(usize, u32); 3] = [(16, 4), (64, 4), (256, 4)];
-
-/// The switch-directory configurations each scaling point is evaluated at.
-/// `None` is the base machine; tags are zero-padded so a name sort is also
-/// a size sort. Undersized directories are deliberately absent: once the
-/// weak-scaled working set outgrows an SD's capacity, eviction thrash tips
-/// the home directories into a NAK retry storm that never converges
-/// (256 entries collapse past 16 nodes; 512 entries collapse at 256 nodes,
-/// where FFT retires ~263 k of 3.2 M references in 4 G cycles with ~100 M
-/// retries) — a congestion collapse the seed repo could never observe
-/// because machines were capped at 64 nodes. 1024 and 2048 entries stay
-/// healthy at every ladder size.
-pub const SCALING_CONFIGS: [(&str, Option<u32>); 3] =
-    [("base", None), ("sd1024", Some(1024)), ("sd2048", Some(2048))];
-
-/// One run of the `--scaling` sweep: a workload on a scaled d-ary BMIN at
-/// one switch-directory configuration.
-pub struct ScalingRun {
-    /// Run name, `<workload>.n<nodes>.<config>` (node count zero-padded so
-    /// a name sort is also a machine-size sort).
-    pub name: String,
-    /// Workload label (`"FFT"`, `"SOR"`).
-    pub workload: &'static str,
-    /// Processor count of the machine.
-    pub nodes: usize,
-    /// Switch radix of the d-ary BMIN.
-    pub radix: u32,
-    /// BMIN stage count (`radix^stages == nodes`) — the home-path length
-    /// the paper's prediction is about.
-    pub stages: u32,
-    /// Switch-directory entries per switch (`None` = base machine).
-    pub sd_entries: Option<u32>,
-    /// The run's figure metrics.
-    pub metrics: Metrics,
-}
-
-impl ToJson for ScalingRun {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::obj()
-            .field("name", self.name.as_str())
-            .field("workload", self.workload)
-            .field("nodes", self.nodes as u64)
-            .field("radix", u64::from(self.radix))
-            .field("stages", u64::from(self.stages))
-            .field("sd_entries", self.sd_entries.map_or(0, u64::from))
-            .field("metrics", self.metrics.to_json())
-            .build()
-    }
-}
-
-/// The workloads evaluated at each machine size: the two execution-driven
-/// kernels with the most contrasting sharing patterns (FFT's all-to-all
-/// butterfly exchanges vs SOR's nearest-neighbour borders), partitioned
-/// across `p` processors by their own decomposition.
-/// Weak-scaled workloads for the machine-size ladder. The paper machine
-/// is 16 processors, so the problem grows with the machine — FFT points
-/// by `p/16`, the SOR grid side by `sqrt(p/16)` (work is O(n^2)) — to
-/// keep per-processor work constant across 16/64/256 nodes. Strong
-/// scaling (a fixed problem) degenerates at 256 processors: the reduced
-/// FFT leaves 16 points per processor and the SOR grid fewer rows than
-/// processors, so barrier traffic swamps the read path and the figure
-/// measures starvation, not the home-path length.
-fn scaling_workloads(p: usize, scale: Scale) -> Vec<(&'static str, Workload)> {
-    let grow = (p / 16).max(1);
-    vec![
-        ("FFT", scientific::fft(p, scale.fft_points() * grow)),
-        ("SOR", scientific::sor(p, scale.grid_n() * grow.isqrt(), scale.sor_iters())),
-    ]
-}
-
-/// Runs one scaling point. Every run doubles as a correctness probe: the
-/// end-of-run coherence audit must be clean and no structural sim error
-/// (e.g. an out-of-range sharer id) may have been recorded — a scaled
-/// machine that silently wrapped somewhere must fail the sweep, not
-/// publish a figure.
-fn scaling_one(w: &Workload, nodes: usize, radix: u32, sd: Option<u32>) -> Metrics {
-    let mut cfg = SystemConfig::scaled(nodes, radix);
-    cfg.switch_dir =
-        sd.map(|entries| SwitchDirConfig { entries, ..SwitchDirConfig::paper_default() });
-    let report = System::new(cfg, w).run(RunOptions {
-        transient_policy: TransientReadPolicy::Retry,
-        verify_coherence: true,
-        // A config that tips into a NAK storm (see SCALING_CONFIGS) must
-        // fail the sweep as a tripped watchdog, not hang it forever.
-        max_cycles: 500_000_000,
-        watchdog: Some(dresar_faults::WatchdogConfig::default()),
-        ..RunOptions::default()
-    });
-    assert!(
-        report.watchdog.is_none(),
-        "scaling run {}x{radix} sd={sd:?}: watchdog tripped: {:?}",
-        nodes,
-        report.watchdog
-    );
-    assert!(
-        report.sim_errors.is_empty(),
-        "scaling run {}x{radix} sd={sd:?}: sim errors {:?}",
-        nodes,
-        report.sim_errors
-    );
-    let audit = report.coherence.as_ref().expect("verify_coherence was requested");
-    assert!(
-        audit.ok(),
-        "scaling run {}x{radix} sd={sd:?}: coherence violations {:?}",
-        nodes,
-        audit.violations
-    );
-    Metrics { reads: report.reads, exec_cycles: report.cycles, sd_hits: report.sd.read_hits }
-}
-
-/// The `--scaling` run set over [`SCALING_POINTS`], executed through
-/// `runner`. Output is byte-identical across thread counts for the same
-/// reasons as [`standard_runs`]: independent jobs, submission-order result
-/// slots, name-sorted assembly.
-pub fn scaling_runs(scale: Scale, runner: SweepRunner) -> Vec<ScalingRun> {
-    scaling_runs_at(&SCALING_POINTS, scale, runner)
-}
-
-/// [`scaling_runs`] over an explicit machine-size ladder (tests and the CI
-/// smoke leg use a reduced one).
-pub fn scaling_runs_at(
-    points: &[(usize, u32)],
-    scale: Scale,
-    runner: SweepRunner,
-) -> Vec<ScalingRun> {
-    // One job per (machine, workload, config): the kernels regenerate their
-    // streams inside the worker (generation is cheap next to simulation),
-    // so jobs share no state and the biggest machine doesn't serialize the
-    // pool behind one fat job.
-    let mut jobs: Vec<Job<'_, ScalingRun>> = Vec::new();
-    for &(nodes, radix) in points {
-        let stages = SystemConfig::scaled(nodes, radix).stages();
-        for wi in 0..scaling_workloads(nodes, scale).len() {
-            for (tag, sd) in SCALING_CONFIGS {
-                jobs.push(Box::new(move || {
-                    let (label, w) = scaling_workloads(nodes, scale).swap_remove(wi);
-                    let metrics = scaling_one(&w, nodes, radix, sd);
-                    ScalingRun {
-                        name: format!("{label}.n{nodes:03}.{tag}"),
-                        workload: label,
-                        nodes,
-                        radix,
-                        stages,
-                        sd_entries: sd,
-                        metrics,
-                    }
-                }));
-            }
-        }
-    }
-    let mut runs = runner.run_jobs(jobs);
-    runs.sort_by(|a, b| a.name.cmp(&b.name));
-    runs
-}
-
-/// One run of the `--protocols` ablation: a workload under one coherence
-/// protocol at one switch-directory configuration on the paper's 16-node
-/// machine.
-pub struct ProtocolRun {
-    /// Run name, `<workload>.<protocol>.<config>` (e.g. `"FFT.mesi.sd1024"`).
-    pub name: String,
-    /// Workload label (`"FFT"`, `"SOR"`).
-    pub workload: &'static str,
-    /// The coherence protocol the caches and home directories ran.
-    pub protocol: Protocol,
-    /// Switch-directory entries per switch (`None` = base machine).
-    pub sd_entries: Option<u32>,
-    /// The run's figure metrics.
-    pub metrics: Metrics,
-}
-
-impl ToJson for ProtocolRun {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::obj()
-            .field("name", self.name.as_str())
-            .field("workload", self.workload)
-            .field("protocol", self.protocol.as_str())
-            .field("sd_entries", self.sd_entries.map_or(0, u64::from))
-            .field("metrics", self.metrics.to_json())
-            .build()
-    }
-}
-
-/// The workloads the protocol ablation evaluates: the two execution-driven
-/// kernels with the most contrasting sharing patterns (same pair as the
-/// scaling ladder), on the paper's 16-processor machine.
-fn protocol_workloads(scale: Scale) -> Vec<(&'static str, Workload)> {
-    let p = 16;
-    vec![
-        ("FFT", scientific::fft(p, scale.fft_points())),
-        ("SOR", scientific::sor(p, scale.grid_n(), scale.sor_iters())),
-    ]
-}
-
-/// Runs one protocol ablation point. Every run doubles as a correctness
-/// probe: the end-of-run per-protocol coherence audit must be clean and no
-/// structural sim error (e.g. an undefined protocol transition) may have
-/// been recorded — a protocol whose transition table has a hole must fail
-/// the sweep, not publish a figure.
-fn protocol_one(w: &Workload, protocol: Protocol, sd: Option<u32>) -> Metrics {
-    let mut cfg = SystemConfig::paper_table2();
-    cfg.protocol = protocol;
-    cfg.switch_dir =
-        sd.map(|entries| SwitchDirConfig { entries, ..SwitchDirConfig::paper_default() });
-    let report = System::new(cfg, w).run(RunOptions {
-        transient_policy: TransientReadPolicy::Retry,
-        verify_coherence: true,
-        ..RunOptions::default()
-    });
-    assert!(
-        report.sim_errors.is_empty(),
-        "protocol run {protocol} sd={sd:?}: sim errors {:?}",
-        report.sim_errors
-    );
-    let audit = report.coherence.as_ref().expect("verify_coherence was requested");
-    assert!(
-        audit.ok(),
-        "protocol run {protocol} sd={sd:?}: coherence violations {:?}",
-        audit.violations
-    );
-    Metrics { reads: report.reads, exec_cycles: report.cycles, sd_hits: report.sd.read_hits }
-}
-
-/// The `--protocols` run set: every protocol in [`Protocol::ALL`] crossed
-/// with the [`SCALING_CONFIGS`] switch-directory axis and the two kernels,
-/// executed through `runner`. Output is byte-identical across thread counts
-/// for the same reasons as [`standard_runs`]: independent jobs,
-/// submission-order result slots, name-sorted assembly.
-pub fn protocol_runs(scale: Scale, runner: SweepRunner) -> Vec<ProtocolRun> {
-    protocol_runs_at(&Protocol::ALL, scale, runner)
-}
-
-/// [`protocol_runs`] over an explicit protocol set (tests use a reduced
-/// one).
-pub fn protocol_runs_at(
-    protocols: &[Protocol],
-    scale: Scale,
-    runner: SweepRunner,
-) -> Vec<ProtocolRun> {
-    // One job per (protocol, workload, config): the kernels regenerate
-    // their streams inside the worker (generation is cheap next to
-    // simulation), so jobs share no state.
-    let mut jobs: Vec<Job<'_, ProtocolRun>> = Vec::new();
-    for &protocol in protocols {
-        for wi in 0..protocol_workloads(scale).len() {
-            for (tag, sd) in SCALING_CONFIGS {
-                jobs.push(Box::new(move || {
-                    let (label, w) = protocol_workloads(scale).swap_remove(wi);
-                    let metrics = protocol_one(&w, protocol, sd);
-                    ProtocolRun {
-                        name: format!("{label}.{protocol}.{tag}"),
-                        workload: label,
-                        protocol,
-                        sd_entries: sd,
-                        metrics,
-                    }
-                }));
-            }
-        }
-    }
-    let mut runs = runner.run_jobs(jobs);
-    runs.sort_by(|a, b| a.name.cmp(&b.name));
-    runs
-}
-
-/// Informational robustness run: the sd1024 configuration with the switch
-/// directories disabled half-way through (derived deterministically from
-/// the healthy run's cycle count), exercising the degraded home-directory
-/// fallback. The registry carries the fault/watchdog/coherence counters, so
-/// the regression gate also pins down the fault-injection schedule itself.
-pub fn sd_degraded_run(b: &Bench, sd1024_cycles: u64) -> Option<MetricsRegistry> {
-    if sd1024_cycles == 0 {
-        return None; // trace-driven workload: no fault machinery
-    }
-    let plan = FaultPlan { disable_at: (sd1024_cycles / 2).max(1), ..FaultPlan::default() };
-    let report = run_one_faulted(b, Some(1024), TransientReadPolicy::Retry, plan)?;
-    let mut m = report.metrics;
-    if let Some(c) = &report.coherence {
-        m.counter("coherence.ok", u64::from(c.ok()));
-        m.counter("coherence.blocks_checked", c.blocks_checked);
-    }
-    Some(m)
-}
-
-/// A deterministic flit-level batch through the full 16-node BMIN: 32
-/// messages on fixed routes, run to drain. This is the one place the
-/// cycle-accurate [`FlitNetwork`] arbitration counters surface in telemetry
-/// (the execution-driven system uses the analytical hop model instead).
-pub fn crossbar_validation() -> MetricsRegistry {
-    let bmin = Bmin::new(16, 4);
-    let cfg = SystemConfig::paper_table2().switch;
-    let mut net = FlitNetwork::new(bmin, cfg);
-    for p in 0..16u8 {
-        net.inject(p as u64, &routes::forward(&bmin, p, (p + 5) % 16), 1)
-            .expect("fixed validation route");
-        net.inject(100 + p as u64, &routes::backward(&bmin, (p + 5) % 16, p), 5)
-            .expect("fixed validation route");
-    }
-    let delivered = net.run_until_drained(100_000).len() as u64;
-    let s = net.arbiter_stats();
-    let mut m = MetricsRegistry::new();
-    m.counter("xbar.deliveries", delivered);
-    m.counter("xbar.cycles", net.now());
-    m.counter("xbar.grants", s.grants);
-    m.counter("xbar.conflicts", s.conflicts);
-    m.counter("xbar.lock_blocked", s.lock_blocked);
-    m.counter("xbar.offers_refused", s.offers_refused);
-    m
-}
-
-/// Why a [`ServicePool`] job could not produce a result: refused at
-/// submission ([`SubmitError::QueueFull`] / [`SubmitError::ShuttingDown`])
-/// or lost to a contained panic during execution
-/// ([`SubmitError::JobPanicked`], produced by [`catch_job_panic`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The bounded admission queue is at capacity: shed the request.
-    QueueFull {
-        /// The configured queue bound the submission ran into.
-        queue_depth: usize,
-    },
-    /// The pool is draining for shutdown and accepts no new work.
-    ShuttingDown,
-    /// The job panicked mid-execution. The panic was contained by the
-    /// worker (the pool keeps serving); the payload is preserved so the
-    /// caller can report a structured error instead of a dead connection.
-    JobPanicked {
-        /// The stringified panic payload.
-        message: String,
-    },
-}
-
-/// A persistent, bounded worker pool: the serving counterpart of the
-/// batch-oriented [`SweepRunner`].
-///
-/// Where `run_jobs` executes one closed batch and returns, a long-lived
-/// service needs *admission control*: a fixed-depth queue whose overflow is
-/// reported to the caller (so the server can shed load with a structured
-/// error instead of buffering unboundedly) and a graceful drain that
-/// finishes queued work before the workers exit. The pool is sized by a
-/// [`SweepRunner`] (so `DRESAR_SWEEP_THREADS` governs serving concurrency
-/// exactly like sweep concurrency) and runs the same boxed-job shape.
-///
-/// `pause`/`resume` gate the workers without touching the queue — tests use
-/// this to hold jobs queued while concurrent requests pile up, making
-/// coalescing and shedding assertions deterministic instead of racy.
-#[derive(Debug)]
-pub struct ServicePool {
-    inner: std::sync::Arc<PoolShared>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-#[derive(Debug)]
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Workers wait here for jobs (or for a resume/drain signal).
-    takeable: std::sync::Condvar,
-    /// `drain` waits here for the queue to empty and workers to go idle.
-    drained: std::sync::Condvar,
-    queue_depth: usize,
-}
-
-#[derive(Default)]
-struct PoolState {
-    queue: std::collections::VecDeque<Box<dyn FnOnce() + Send>>,
-    paused: bool,
-    stopping: bool,
-    /// Jobs currently executing on a worker.
-    active: usize,
-    /// High-water mark of queued-plus-active jobs.
-    peak_depth: u64,
-    /// Total jobs accepted over the pool's lifetime.
-    scheduled: u64,
-    /// Jobs whose panic a worker contained (the worker kept running).
-    panics: u64,
-}
-
-impl std::fmt::Debug for PoolState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolState")
-            .field("queued", &self.queue.len())
-            .field("paused", &self.paused)
-            .field("stopping", &self.stopping)
-            .field("active", &self.active)
-            .field("peak_depth", &self.peak_depth)
-            .field("scheduled", &self.scheduled)
-            .field("panics", &self.panics)
-            .finish()
-    }
-}
-
-/// What [`ServicePool::drain`] observed while shutting the pool down —
-/// surfaced as data so a supervisor can report which workers were lost and
-/// how many jobs were abandoned, instead of the historical double panic
-/// (`expect` on a poisoned join while already unwinding).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DrainReport {
-    /// Job panics contained by workers over the pool's lifetime.
-    pub worker_panics: u64,
-    /// Worker threads that died outside the per-job guard (only possible
-    /// via a non-unwinding kill; a contained panic never loses a worker).
-    pub workers_lost: usize,
-    /// Queued jobs discarded because no live worker remained to run them.
-    pub jobs_abandoned: usize,
-}
-
-impl DrainReport {
-    /// Whether the drain completed without losing a worker or a job.
-    pub fn clean(&self) -> bool {
-        self.workers_lost == 0 && self.jobs_abandoned == 0
-    }
-}
-
-impl ServicePool {
-    /// Starts `runner.threads()` workers servicing a queue bounded at
-    /// `queue_depth` jobs (clamped to at least 1). With `paused` the
-    /// workers idle until [`ServicePool::resume`]; submissions still queue.
-    pub fn start(runner: SweepRunner, queue_depth: usize, paused: bool) -> Self {
-        let inner = std::sync::Arc::new(PoolShared {
-            state: Mutex::new(PoolState { paused, ..PoolState::default() }),
-            takeable: std::sync::Condvar::new(),
-            drained: std::sync::Condvar::new(),
-            queue_depth: queue_depth.max(1),
-        });
-        let workers = (0..runner.threads())
-            .map(|_| {
-                let shared = std::sync::Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        ServicePool { inner, workers: Mutex::new(workers) }
-    }
-
-    /// Queues one job, or reports why it cannot be accepted. Never blocks.
-    pub fn try_submit(&self, job: Box<dyn FnOnce() + Send>) -> Result<(), SubmitError> {
-        let mut st = lock_pool(&self.inner.state);
-        if st.stopping {
-            return Err(SubmitError::ShuttingDown);
-        }
-        if st.queue.len() >= self.inner.queue_depth {
-            return Err(SubmitError::QueueFull { queue_depth: self.inner.queue_depth });
-        }
-        st.queue.push_back(job);
-        st.scheduled += 1;
-        st.peak_depth = st.peak_depth.max((st.queue.len() + st.active) as u64);
-        drop(st);
-        self.inner.takeable.notify_one();
-        Ok(())
-    }
-
-    /// Holds workers idle after their current job; queued jobs stay queued.
-    pub fn pause(&self) {
-        lock_pool(&self.inner.state).paused = true;
-    }
-
-    /// Releases paused workers.
-    pub fn resume(&self) {
-        lock_pool(&self.inner.state).paused = false;
-        self.inner.takeable.notify_all();
-    }
-
-    /// `(queued + active, peak, scheduled)` — the admission gauges the
-    /// server exports as `serve.queue_depth` and `serve.scheduled`.
-    pub fn depth(&self) -> (u64, u64, u64) {
-        let st = lock_pool(&self.inner.state);
-        ((st.queue.len() + st.active) as u64, st.peak_depth, st.scheduled)
-    }
-
-    /// Job panics contained by the workers so far (each one left the
-    /// worker alive and the pool serving — exported as
-    /// `serve.worker_panics`).
-    pub fn panics(&self) -> u64 {
-        lock_pool(&self.inner.state).panics
-    }
-
-    /// Graceful drain: stops admissions, runs every queued job to
-    /// completion (resuming paused workers), then joins the workers.
-    ///
-    /// Returns what happened as data. Contained job panics do not disturb
-    /// the drain (the workers that caught them are joined normally); if
-    /// every worker was lost to a non-unwinding kill while jobs were still
-    /// queued, those jobs are abandoned and counted rather than waited on
-    /// forever.
-    pub fn drain(&self) -> DrainReport {
-        {
-            let mut st = lock_pool(&self.inner.state);
-            st.stopping = true;
-            st.paused = false;
-        }
-        self.inner.takeable.notify_all();
-        let mut st = lock_pool(&self.inner.state);
-        let mut jobs_abandoned = 0usize;
-        while !st.queue.is_empty() || st.active > 0 {
-            // Bounded wait so worker liveness is re-checked: if no worker
-            // thread remains to run the queue down, waiting on `drained`
-            // would hang forever — abandon the queue instead and report it.
-            let (guard, _) = self
-                .inner
-                .drained
-                .wait_timeout(st, Duration::from_millis(50))
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            st = guard;
-            let all_dead =
-                lock_pool_list(&self.workers).iter().all(std::thread::JoinHandle::is_finished);
-            if all_dead && st.active == 0 && !st.queue.is_empty() {
-                jobs_abandoned = st.queue.len();
-                st.queue.clear();
-                break;
-            }
-        }
-        let worker_panics = st.panics;
-        drop(st);
-        let mut workers_lost = 0usize;
-        for w in lock_pool_list(&self.workers).drain(..) {
-            if w.join().is_err() {
-                workers_lost += 1;
-            }
-        }
-        DrainReport { worker_panics, workers_lost, jobs_abandoned }
-    }
-}
-
-/// Poison-tolerant pool-state lock: a panic elsewhere must degrade to a
-/// contained, counted error — never cascade into every pool operation.
-fn lock_pool(m: &Mutex<PoolState>) -> std::sync::MutexGuard<'_, PoolState> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn lock_pool_list(
-    m: &Mutex<Vec<std::thread::JoinHandle<()>>>,
-) -> std::sync::MutexGuard<'_, Vec<std::thread::JoinHandle<()>>> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn worker_loop(shared: &PoolShared) {
-    loop {
-        let job = {
-            let mut st = lock_pool(&shared.state);
-            loop {
-                if !st.paused {
-                    if let Some(job) = st.queue.pop_front() {
-                        st.active += 1;
-                        break job;
-                    }
-                    if st.stopping {
-                        return;
-                    }
-                } else if st.stopping {
-                    // Drain resumes before stopping; a paused stop still
-                    // exits once the queue has been run down.
-                    st.paused = false;
-                    continue;
-                }
-                st = shared.takeable.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        };
-        // Contain a panicking job here: the worker survives (in-place
-        // respawn — same thread, fresh job), `active` is decremented on
-        // every path so a panic can never leak an active count and hang
-        // the drain, and the panic is counted for `serve.worker_panics`.
-        let panicked = catch_unwind(AssertUnwindSafe(job)).is_err();
-        let mut st = lock_pool(&shared.state);
-        st.active -= 1;
-        if panicked {
-            st.panics += 1;
-        }
-        if st.queue.is_empty() && st.active == 0 {
-            shared.drained.notify_all();
-        }
     }
 }
 
@@ -982,47 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn service_pool_runs_jobs_and_drains() {
-        use std::sync::atomic::AtomicU64;
-        // Bound >= submission count: workers may drain slower than this
-        // loop submits, and every job must be accepted for the sum check.
-        let pool = ServicePool::start(SweepRunner::with_threads(4), 100, false);
-        let sum = std::sync::Arc::new(AtomicU64::new(0));
-        for i in 1..=100u64 {
-            let sum = std::sync::Arc::clone(&sum);
-            pool.try_submit(Box::new(move || {
-                sum.fetch_add(i, Ordering::Relaxed);
-            }))
-            .expect("queue has room");
-        }
-        pool.drain();
-        assert_eq!(sum.load(Ordering::Relaxed), 5050);
-        let (_, peak, scheduled) = pool.depth();
-        assert_eq!(scheduled, 100);
-        assert!(peak >= 1);
-    }
-
-    #[test]
-    fn service_pool_sheds_at_the_queue_bound_and_recovers() {
-        // Paused workers: submissions queue but never start, so the bound
-        // is hit deterministically.
-        let pool = ServicePool::start(SweepRunner::with_threads(2), 2, true);
-        pool.try_submit(Box::new(|| {})).unwrap();
-        pool.try_submit(Box::new(|| {})).unwrap();
-        assert_eq!(
-            pool.try_submit(Box::new(|| {})),
-            Err(SubmitError::QueueFull { queue_depth: 2 })
-        );
-        let (depth, peak, _) = pool.depth();
-        assert_eq!(depth, 2);
-        assert_eq!(peak, 2);
-        // Drain resumes the paused workers, runs the queue down, and the
-        // pool then refuses new work as shutting down.
-        pool.drain();
-        assert_eq!(pool.try_submit(Box::new(|| {})), Err(SubmitError::ShuttingDown));
-    }
-
-    #[test]
     fn try_run_jobs_reports_panics_as_data_on_both_paths() {
         let mk = || -> Vec<Job<'static, u64>> {
             (0..6u64)
@@ -1059,81 +289,5 @@ mod tests {
         let msg = panic_message(&*err);
         assert!(msg.contains("1 sweep job(s) panicked"), "got: {msg}");
         assert!(msg.contains("[job 1: boom]"), "got: {msg}");
-    }
-
-    #[test]
-    fn catch_job_panic_converts_an_unwind_into_a_submit_error() {
-        assert_eq!(catch_job_panic(|| 7), Ok(7));
-        let err = catch_job_panic(|| -> u64 { panic!("engine bug {}", 13) })
-            .expect_err("panic becomes data");
-        assert_eq!(err, SubmitError::JobPanicked { message: "engine bug 13".into() });
-    }
-
-    #[test]
-    fn service_pool_survives_a_panicking_job_and_reports_it_at_drain() {
-        use std::sync::atomic::AtomicU64;
-        let pool = ServicePool::start(SweepRunner::with_threads(2), 16, false);
-        let done = std::sync::Arc::new(AtomicU64::new(0));
-        pool.try_submit(Box::new(|| panic!("injected worker panic"))).unwrap();
-        // The pool must keep serving after the contained panic: the same
-        // workers run every subsequent job.
-        for _ in 0..8 {
-            let done = std::sync::Arc::clone(&done);
-            pool.try_submit(Box::new(move || {
-                done.fetch_add(1, Ordering::Relaxed);
-            }))
-            .unwrap();
-        }
-        let report = pool.drain();
-        assert_eq!(done.load(Ordering::Relaxed), 8);
-        assert_eq!(report, DrainReport { worker_panics: 1, workers_lost: 0, jobs_abandoned: 0 });
-        assert!(report.clean(), "a contained panic is not a lost worker");
-        assert_eq!(pool.panics(), 1);
-    }
-
-    #[test]
-    fn scaling_runs_serial_matches_parallel() {
-        // Reduced ladder at tiny scale so the test stays cheap; the full
-        // 256-node ladder is exercised by the CI scaling leg.
-        let points = [(16usize, 4u32), (64, 4)];
-        let a = scaling_runs_at(&points, Scale::Tiny, SweepRunner::serial());
-        let b = scaling_runs_at(&points, Scale::Tiny, SweepRunner::with_threads(4));
-        assert_eq!(a.len(), points.len() * 2 * SCALING_CONFIGS.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.name, y.name, "run order must not depend on thread count");
-            assert_eq!(
-                x.to_json().dump(),
-                y.to_json().dump(),
-                "{}: scaling runs must be byte-identical serial vs parallel",
-                x.name
-            );
-        }
-    }
-
-    #[test]
-    fn protocol_runs_serial_matches_parallel() {
-        // Reduced protocol set at tiny scale so the test stays cheap; the
-        // full MSI/MESI/MOESI/DLS matrix is exercised by the CI protocols
-        // leg and the committed FIG_protocols.md.
-        let protocols = [Protocol::Msi, Protocol::Mesi];
-        let a = protocol_runs_at(&protocols, Scale::Tiny, SweepRunner::serial());
-        let b = protocol_runs_at(&protocols, Scale::Tiny, SweepRunner::with_threads(4));
-        assert_eq!(a.len(), protocols.len() * 2 * SCALING_CONFIGS.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.name, y.name, "run order must not depend on thread count");
-            assert_eq!(
-                x.to_json().dump(),
-                y.to_json().dump(),
-                "{}: protocol runs must be byte-identical serial vs parallel",
-                x.name
-            );
-        }
-    }
-
-    #[test]
-    fn crossbar_validation_is_deterministic() {
-        let a = crossbar_validation();
-        let b = crossbar_validation();
-        assert_eq!(a.scalars(), b.scalars());
     }
 }

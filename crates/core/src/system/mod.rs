@@ -54,8 +54,8 @@ pub struct RunOptions {
     pub collect_histogram: bool,
     /// TRANSIENT-read policy for the switch directories.
     pub transient_policy: TransientReadPolicy,
-    /// Observers to attach (latency breakdown, time series, trace, flight
-    /// recorder). By default only the bounded flight recorder is on — it is
+    /// Observers to attach (latency breakdown, trace, flight recorder,
+    /// contention heatmap). By default only the bounded flight recorder is on — it is
     /// the always-on black box, surfaced in the report only when the run is
     /// anomalous (watchdog trip, coherence failure, lost messages or sim
     /// errors). Pass `ObserverConfig::default()` explicitly for a fully

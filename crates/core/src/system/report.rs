@@ -33,7 +33,7 @@ pub struct ExecutionReport {
     /// Per-block miss/CtoC histogram (only if requested in
     /// [`crate::system::RunOptions`]).
     pub histogram: Option<dresar_stats::BlockHistogram>,
-    /// Observer payloads (latency breakdown, time series, trace), present
+    /// Observer payloads (latency breakdown, trace, heatmap), present
     /// when [`crate::system::RunOptions::observers`] enabled any.
     pub obs: Option<ObsReport>,
     /// Deterministic component-metrics snapshot (queue depths, arbitration,

@@ -134,7 +134,7 @@ fn obs_report_json_names_every_read_class() {
     let observers = ObserverConfig::all(1000);
     let r = run_observed(true, observers);
     let obs = r.obs.as_ref().expect("observers attached");
-    assert!(obs.breakdown.is_some() && obs.timeseries.is_some() && obs.trace.is_some());
+    assert!(obs.breakdown.is_some() && obs.heatmap.is_some() && obs.trace.is_some());
     let json = r.to_json().dump();
     let parsed = JsonValue::parse(&json).expect("parses");
     let classes = parsed

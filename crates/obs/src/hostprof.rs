@@ -47,12 +47,13 @@ pub struct HostProfile {
 }
 
 impl HostProfile {
-    /// Simulated cycles per wall-clock second over the whole profile.
-    pub fn cycles_per_sec(&self, simulated_cycles: u64) -> f64 {
-        if self.total_seconds > 0.0 {
-            simulated_cycles as f64 / self.total_seconds
-        } else {
-            0.0
+    /// Simulated cycles per wall-clock second of `phase`, the phase that
+    /// simulated those cycles (other phases' wall time is not divided in).
+    /// Zero when the phase is absent or took no measurable time.
+    pub fn cycles_per_sec(&self, phase: &str, simulated_cycles: u64) -> f64 {
+        match self.phases.iter().find(|p| p.name == phase) {
+            Some(p) if p.wall_seconds > 0.0 => simulated_cycles as f64 / p.wall_seconds,
+            _ => 0.0,
         }
     }
 }
@@ -182,13 +183,17 @@ mod tests {
     }
 
     #[test]
-    fn cycles_per_sec_guards_zero_time() {
-        let prof =
-            HostProfile { phases: vec![], runs: vec![], total_seconds: 0.0, peak_rss_bytes: None };
-        assert_eq!(prof.cycles_per_sec(1000), 0.0);
-        let prof =
-            HostProfile { phases: vec![], runs: vec![], total_seconds: 2.0, peak_rss_bytes: None };
-        assert_eq!(prof.cycles_per_sec(1000), 500.0);
+    fn cycles_per_sec_divides_by_the_producing_phase_only() {
+        let phase = |name: &str, wall_seconds| PhaseTiming { name: name.into(), wall_seconds };
+        let prof = HostProfile {
+            phases: vec![phase("sweep", 2.0), phase("scaling", 30.0), phase("report", 0.0)],
+            runs: vec![],
+            total_seconds: 32.0,
+            peak_rss_bytes: None,
+        };
+        assert_eq!(prof.cycles_per_sec("sweep", 1000), 500.0);
+        assert_eq!(prof.cycles_per_sec("report", 1000), 0.0, "zero-time phase");
+        assert_eq!(prof.cycles_per_sec("protocols", 1000), 0.0, "absent phase");
     }
 
     #[test]

@@ -9,15 +9,12 @@
 //! run instrumented with [`NullProbe`] monomorphizes to exactly the
 //! uninstrumented code — observability is free when it is off.
 //!
-//! Five observers implement `Probe`:
+//! Four observers implement `Probe`:
 //!
 //! * [`breakdown::LatencyRecorder`] — decomposes every read miss into
 //!   per-phase cycle counts (L2 detect, retry wait, request network, home
 //!   service, data return) with log2-bucketed latency histograms per
 //!   [`ReadClass`] and per-node / per-switch summaries;
-//! * [`sampler::Sampler`] — cycle-windowed time series of event-queue
-//!   depth, home-controller busy cycles, link busy cycles, switch-directory
-//!   occupancy and eviction/NAK rates;
 //! * [`trace::Tracer`] — a Chrome `about:tracing` / Perfetto compatible
 //!   trace-event JSON stream of message and transaction lifecycles, with
 //!   flow events stitching each transaction into a causal tree;
@@ -29,7 +26,7 @@
 //!   class, distilled into a deterministic topology heatmap naming the
 //!   critical resource.
 //!
-//! [`ObserverSet`] bundles any subset of the five behind one `Probe`
+//! [`ObserverSet`] bundles any subset of the four behind one `Probe`
 //! implementation and is what [`ObserverConfig`] enables from run options.
 
 pub mod attrib;
@@ -37,7 +34,6 @@ pub mod breakdown;
 pub mod hostprof;
 pub mod metrics;
 pub mod recorder;
-pub mod sampler;
 pub mod trace;
 
 use dresar_stats::ReadClass;
@@ -53,7 +49,6 @@ pub use breakdown::{
 pub use hostprof::{HostProfile, HostProfiler, PhaseTiming, RunTiming};
 pub use metrics::{MetricDelta, MetricValue, MetricsRegistry};
 pub use recorder::{FlightDump, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
-pub use sampler::{Sampler, TimeSeries, WindowSample};
 pub use trace::Tracer;
 
 /// Identifies a switch: BMIN position plus the simulator's linear index
@@ -347,8 +342,6 @@ impl Probe for NullProbe {}
 pub struct ObserverConfig {
     /// Record per-phase read-miss latency breakdowns.
     pub latency_breakdown: bool,
-    /// Collect a time series with this window size in cycles.
-    pub timeseries_window: Option<Cycle>,
     /// Emit a Chrome trace-event JSON stream.
     pub trace: bool,
     /// Keep a flight-recorder ring of the last N event records for
@@ -363,17 +356,15 @@ impl ObserverConfig {
     /// Whether any observer is on.
     pub fn enabled(&self) -> bool {
         self.latency_breakdown
-            || self.timeseries_window.is_some()
             || self.trace
             || self.flight.is_some()
             || self.heatmap_window.is_some()
     }
 
-    /// Everything on, with the given sampling window.
+    /// Everything on, with the given attribution window.
     pub fn all(window: Cycle) -> Self {
         ObserverConfig {
             latency_breakdown: true,
-            timeseries_window: Some(window),
             trace: true,
             flight: Some(DEFAULT_FLIGHT_CAPACITY),
             heatmap_window: Some(window),
@@ -396,8 +387,6 @@ pub struct MachineShape {
 pub struct ObsReport {
     /// Per-phase read-latency breakdown, if recorded.
     pub breakdown: Option<LatencyBreakdown>,
-    /// Cycle-windowed time series, if sampled.
-    pub timeseries: Option<TimeSeries>,
     /// Chrome trace-event JSON document, if traced.
     pub trace: Option<String>,
     /// Flight-recorder dump, if attached (anomalous runs only).
@@ -410,7 +399,6 @@ impl ObsReport {
     /// Whether every observer payload is absent.
     pub fn is_empty(&self) -> bool {
         self.breakdown.is_none()
-            && self.timeseries.is_none()
             && self.trace.is_none()
             && self.flight.is_none()
             && self.heatmap.is_none()
@@ -422,9 +410,6 @@ impl ToJson for ObsReport {
         let mut b = JsonValue::obj();
         if let Some(bd) = &self.breakdown {
             b = b.field("breakdown", bd.to_json());
-        }
-        if let Some(ts) = &self.timeseries {
-            b = b.field("timeseries", ts.to_json());
         }
         if let Some(tr) = &self.trace {
             b = b.field("trace_events", JsonValue::Str(tr.clone()));
@@ -443,7 +428,6 @@ impl ToJson for ObsReport {
 #[derive(Debug)]
 pub struct ObserverSet {
     recorder: Option<LatencyRecorder>,
-    sampler: Option<Sampler>,
     tracer: Option<Tracer>,
     flight: Option<FlightRecorder>,
     attrib: Option<AttribObserver>,
@@ -454,7 +438,6 @@ impl ObserverSet {
     pub fn new(cfg: ObserverConfig, shape: MachineShape) -> Self {
         ObserverSet {
             recorder: cfg.latency_breakdown.then(|| LatencyRecorder::new(shape)),
-            sampler: cfg.timeseries_window.map(Sampler::new),
             tracer: cfg.trace.then(Tracer::new),
             flight: cfg.flight.map(FlightRecorder::new),
             attrib: cfg.heatmap_window.map(|w| AttribObserver::new(w, shape.nodes, shape.switches)),
@@ -465,7 +448,6 @@ impl ObserverSet {
     pub fn finish(self) -> ObsReport {
         ObsReport {
             breakdown: self.recorder.map(LatencyRecorder::finish),
-            timeseries: self.sampler.map(Sampler::finish),
             trace: self.tracer.map(Tracer::finish),
             flight: self.flight.map(FlightRecorder::finish),
             heatmap: self.attrib.map(AttribObserver::finish),
@@ -477,9 +459,6 @@ macro_rules! fan_out {
     ($self:ident, $m:ident ( $($a:expr),* )) => {
         if let Some(r) = $self.recorder.as_mut() {
             r.$m($($a),*);
-        }
-        if let Some(s) = $self.sampler.as_mut() {
-            s.$m($($a),*);
         }
         if let Some(t) = $self.tracer.as_mut() {
             t.$m($($a),*);
@@ -602,7 +581,7 @@ mod tests {
     fn observer_config_enabled_logic() {
         assert!(!ObserverConfig::default().enabled());
         assert!(ObserverConfig { latency_breakdown: true, ..Default::default() }.enabled());
-        assert!(ObserverConfig { timeseries_window: Some(64), ..Default::default() }.enabled());
+        assert!(ObserverConfig { heatmap_window: Some(64), ..Default::default() }.enabled());
         assert!(ObserverConfig { trace: true, ..Default::default() }.enabled());
         assert!(ObserverConfig { flight: Some(1024), ..Default::default() }.enabled());
         assert!(ObserverConfig::all(128).enabled());
@@ -617,7 +596,7 @@ mod tests {
         );
         let report = set.finish();
         assert!(report.breakdown.is_some());
-        assert!(report.timeseries.is_none());
+        assert!(report.heatmap.is_none());
         assert!(report.trace.is_none());
         assert!(report.flight.is_none());
         assert!(!report.is_empty());

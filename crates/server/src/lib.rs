@@ -14,8 +14,8 @@
 //! - **Request coalescing** ([`serve`]): concurrent requests for the same
 //!   digest attach to one in-flight execution; N clients cost one engine
 //!   run and all N receive byte-identical bodies.
-//! - **Bounded admission** ([`serve`] via
-//!   [`dresar_bench::sweep::ServicePool`]): a fixed-depth queue sheds
+//! - **Bounded admission** ([`serve`] via [`pool::ServicePool`]): a
+//!   fixed-depth queue sheds
 //!   excess load with structured 429 `overloaded` errors instead of
 //!   accepting unbounded work, and drains gracefully on shutdown.
 //!
@@ -48,6 +48,7 @@ pub mod chaos;
 pub mod client;
 pub mod error;
 pub mod http;
+pub mod pool;
 pub mod run;
 pub mod serve;
 pub mod store;

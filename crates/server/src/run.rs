@@ -23,8 +23,8 @@ use dresar_types::config::{SwitchDirConfig, SystemConfig, TraceSimConfig};
 use dresar_types::{RunSpec, ToJson, Workload};
 use dresar_workloads::{commercial, scientific, Scale};
 
-/// Which simulator a workload label runs on (mirrors
-/// `dresar_bench::Driver`, but resolved from a request instead of the
+/// Which simulator a workload label runs on (mirrors the machines of
+/// `dresar_bench::plan::suite`, but resolved from a request instead of the
 /// fixed suite).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {

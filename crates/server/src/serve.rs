@@ -39,9 +39,9 @@ use crate::http::{
     read_request, write_response, write_response_with, write_sse_end, write_sse_event,
     write_sse_head, Request,
 };
+use crate::pool::{catch_job_panic, ServicePool, SubmitError};
 use crate::run::{validate, ExecOutput, ValidatedSpec};
 use crate::store::ResultStore;
-use dresar_bench::sweep::{catch_job_panic, ServicePool, SubmitError, SweepRunner};
 use dresar_obs::{hostprof, log2_bucket, MetricValue, MetricsRegistry};
 use dresar_types::{FastMap, FromJson, JsonValue, RunSpec, ToJson};
 use std::collections::BTreeMap;
@@ -80,7 +80,7 @@ const DEFAULT_MAX_DEADLINE: Duration = Duration::from_secs(600);
 pub struct ServerConfig {
     /// Bounded admission queue depth; submissions beyond it are shed.
     pub queue_depth: usize,
-    /// Engine worker threads; 0 sizes by [`SweepRunner::from_env`]
+    /// Engine worker threads; 0 sizes by [`dresar_bench::sweep::thread_count`]
     /// (`DRESAR_SWEEP_THREADS`, else one per core).
     pub workers: usize,
     /// Result-cache capacity in entries.
@@ -310,11 +310,8 @@ impl Server {
         // Nonblocking accept + short sleep: lets the acceptor observe the
         // shutdown flag without platform-specific signal machinery.
         listener.set_nonblocking(true)?;
-        let runner = if cfg.workers == 0 {
-            SweepRunner::from_env()
-        } else {
-            SweepRunner::with_threads(cfg.workers)
-        };
+        let workers =
+            if cfg.workers == 0 { dresar_bench::sweep::thread_count() } else { cfg.workers };
         // Warm-start: opening the store scans existing entries, so a
         // restarted server answers previously computed digests from disk.
         let store = match &cfg.store_dir {
@@ -324,7 +321,7 @@ impl Server {
             None => None,
         };
         let shared = Arc::new(Shared {
-            pool: ServicePool::start(runner, cfg.queue_depth, cfg.start_paused),
+            pool: ServicePool::start(workers, cfg.queue_depth, cfg.start_paused),
             cache: Mutex::new(ResultCache::new(cfg.cache_entries)),
             store,
             inflight: Mutex::new(FastMap::default()),
@@ -1114,7 +1111,7 @@ mod tests {
 
     fn bare_shared() -> Shared {
         Shared {
-            pool: ServicePool::start(SweepRunner::with_threads(1), 1, false),
+            pool: ServicePool::start(1, 1, false),
             cache: Mutex::new(ResultCache::new(4)),
             store: None,
             inflight: Mutex::new(FastMap::default()),

@@ -61,8 +61,7 @@ impl BlockHistogram {
     /// (the paper's x-axis ordering), sampled at `samples` evenly spaced
     /// ranks (plus the final rank).
     pub fn cumulative(&self, samples: usize) -> Vec<CumulativePoint> {
-        let mut per_block: Vec<(u64, u64)> = self.counts.values().copied().collect();
-        per_block.sort_unstable_by_key(|&(m, _)| std::cmp::Reverse(m));
+        let per_block = self.ranked();
         let total_m = self.total_misses().max(1) as f64;
         let total_c = self.total_ctocs().max(1) as f64;
 
@@ -98,10 +97,17 @@ impl BlockHistogram {
             return 0.0;
         }
         let k = ((n as f64 * frac).ceil() as usize).clamp(1, n);
-        let mut per_block: Vec<(u64, u64)> = self.counts.values().copied().collect();
-        per_block.sort_unstable_by_key(|&(m, _)| std::cmp::Reverse(m));
-        let covered: u64 = per_block[..k].iter().map(|&(_, c)| c).sum();
+        let covered: u64 = self.ranked()[..k].iter().map(|&(_, c)| c).sum();
         covered as f64 / self.total_ctocs().max(1) as f64
+    }
+
+    /// Per-block `(misses, ctocs)` by decreasing misses, ties broken by
+    /// block address so the ranking never depends on hash order.
+    fn ranked(&self) -> Vec<(u64, u64)> {
+        let mut per_block: Vec<(BlockAddr, u64, u64)> =
+            self.counts.iter().map(|(&b, &(m, c))| (b, m, c)).collect();
+        per_block.sort_unstable_by_key(|&(b, m, _)| (std::cmp::Reverse(m), b));
+        per_block.into_iter().map(|(_, m, c)| (m, c)).collect()
     }
 }
 
@@ -150,6 +156,36 @@ mod tests {
         assert_eq!(last.block_rank, 10);
         assert!((last.miss_fraction - 1.0).abs() < 1e-12);
         assert!((last.ctoc_fraction - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tied_blocks_rank_by_address() {
+        // One hot clean block, then 64 blocks tied at one miss each, of
+        // which only the eight lowest addresses were cache-to-cache. Hash
+        // order would scatter the CtoC blocks through the tie; address
+        // order puts them right after the hot block, so the curve is exact.
+        let mut h = BlockHistogram::new();
+        for _ in 0..3 {
+            h.record_miss(BlockAddr(999), false);
+        }
+        for b in (0..64u64).rev() {
+            h.record_miss(BlockAddr(b * 0x40), b < 8);
+        }
+        let pts = h.cumulative(65);
+        assert_eq!(pts.len(), 65);
+        assert_eq!(
+            pts[0],
+            CumulativePoint { block_rank: 1, miss_fraction: 3.0 / 67.0, ctoc_fraction: 0.0 }
+        );
+        for (i, p) in pts[1..9].iter().enumerate() {
+            assert_eq!(p.ctoc_fraction, (i + 1) as f64 / 8.0, "rank {}", p.block_rank);
+        }
+        assert_eq!(
+            pts[8],
+            CumulativePoint { block_rank: 9, miss_fraction: 11.0 / 67.0, ctoc_fraction: 1.0 }
+        );
+        // Top 10% = ceil(6.5) = 7 blocks: the hot block and six CtoC blocks.
+        assert_eq!(h.ctoc_coverage_of_top(0.1), 0.75);
     }
 
     #[test]
