@@ -86,9 +86,10 @@ pub struct HierarchyStats {
     pub fills: u64,
     /// Dirty L2 victims surfaced as [`Eviction::Writeback`]s.
     pub writebacks: u64,
-    /// Modified copies surrendered to external coherence — downgrades plus
-    /// invalidations that destroyed a dirty line. Each is a block this cache
-    /// served (or owed) to another node: the CtoC supply side.
+    /// Interventions this cache served: blocks it sent straight to another
+    /// node, the CtoC supply side. Counted by the protocol through
+    /// [`CacheHierarchy::count_ctoc_serve`]; invalidations and downgrades
+    /// alone move no data and do not count.
     pub ctoc_serves: u64,
 }
 
@@ -201,14 +202,14 @@ impl CacheHierarchy {
         if let Some((victim, victim_state)) = self.l2.insert(block, state) {
             // Inclusion: the L2 victim must leave L1 too. A dirty L1 copy of
             // the victim makes the writeback carry the freshest data; either
-            // way the victim's dirtiness decides Writeback vs Drop.
+            // way a supplier victim (one the home books as owner) decides
+            // Writeback vs Drop.
             let l1_victim_state = self.l1.invalidate(victim);
-            let owned_by_home = |s: LineState| s.is_dirty() || s == LineState::Exclusive;
-            let dirty = owned_by_home(victim_state) || l1_victim_state.is_some_and(owned_by_home);
-            if dirty {
+            let owned = victim_state.supplies() || l1_victim_state.is_some_and(LineState::supplies);
+            if owned {
                 self.stats.writebacks += 1;
             }
-            out.push(if dirty { Eviction::Writeback(victim) } else { Eviction::Drop(victim) });
+            out.push(if owned { Eviction::Writeback(victim) } else { Eviction::Drop(victim) });
         }
         self.fill_l1(block, state);
         out
@@ -228,25 +229,11 @@ impl CacheHierarchy {
     }
 
     /// External invalidation (on behalf of a writer elsewhere). Returns
-    /// `true` if a Modified copy was destroyed (the protocol then owes the
-    /// home a data transfer — handled by the caller via CtoC semantics).
+    /// `true` if the destroyed copy was the block's supplier.
     pub fn invalidate(&mut self, block: BlockAddr) -> bool {
         let l1 = self.l1.invalidate(block);
         let l2 = self.l2.invalidate(block);
-        let supplier =
-            |s: Option<LineState>| s.is_some_and(|s| s.is_dirty() || s == LineState::Exclusive);
-        let was_dirty = supplier(l1) || supplier(l2);
-        if was_dirty {
-            self.stats.ctoc_serves += 1;
-        }
-        was_dirty
-    }
-
-    /// External downgrade to Shared (a cache-to-cache read intervention in
-    /// the MSI/MESI protocols). Returns `true` if this cache actually held
-    /// the block as its supplier.
-    pub fn downgrade(&mut self, block: BlockAddr) -> bool {
-        self.downgrade_to(block, LineState::Shared)
+        l1.is_some_and(LineState::supplies) || l2.is_some_and(LineState::supplies)
     }
 
     /// External downgrade to `state`: MSI read interventions make M -> S,
@@ -254,11 +241,7 @@ impl CacheHierarchy {
     /// an O holder serving a read stays O). Returns `true` if this cache
     /// was the block's supplier (held it Modified, Owned or Exclusive).
     pub fn downgrade_to(&mut self, block: BlockAddr, state: LineState) -> bool {
-        let was_supplier =
-            self.probe(block).is_some_and(|s| s.is_dirty() || s == LineState::Exclusive);
-        if was_supplier {
-            self.stats.ctoc_serves += 1;
-        }
+        let was_supplier = self.probe(block).is_some_and(LineState::supplies);
         if self.l1.probe(block).is_some() {
             self.l1.set_state(block, state);
         }
@@ -266,6 +249,12 @@ impl CacheHierarchy {
             self.l2.set_state(block, state);
         }
         was_supplier
+    }
+
+    /// Counts one intervention served from this cache (see
+    /// [`HierarchyStats::ctoc_serves`]).
+    pub fn count_ctoc_serve(&mut self) {
+        self.stats.ctoc_serves += 1;
     }
 
     /// Iterates every resident block with its coherence state. Inclusion
@@ -397,10 +386,13 @@ mod tests {
     fn downgrade_makes_shared() {
         let mut h = tiny();
         h.fill(BlockAddr(0), LineState::Modified);
-        assert!(h.downgrade(BlockAddr(0)));
+        assert!(h.downgrade_to(BlockAddr(0), LineState::Shared));
         assert_eq!(h.probe(BlockAddr(0)), Some(LineState::Shared));
-        assert!(!h.downgrade(BlockAddr(0)), "second downgrade finds no Modified copy");
-        assert!(!h.downgrade(BlockAddr(9)), "absent block");
+        assert!(
+            !h.downgrade_to(BlockAddr(0), LineState::Shared),
+            "second downgrade finds no Modified copy"
+        );
+        assert!(!h.downgrade_to(BlockAddr(9), LineState::Shared), "absent block");
     }
 
     #[test]
@@ -411,16 +403,14 @@ mod tests {
         h.fill(BlockAddr(4), LineState::Shared); // evicts dirty block 0
         assert_eq!(h.stats().fills, 3);
         assert_eq!(h.stats().writebacks, 1);
-        // CtoC supply: downgrade of a dirty line counts, of a clean one not.
+        // CtoC supply is counted by the protocol when it sends data, not
+        // by the state changes around it: an invalidation moves no data.
         h.fill(BlockAddr(6), LineState::Modified);
-        h.downgrade(BlockAddr(6));
-        h.downgrade(BlockAddr(6)); // now Shared: not a serve
-        assert_eq!(h.stats().ctoc_serves, 1);
-        // Invalidation destroying a dirty copy counts too.
+        assert!(h.downgrade_to(BlockAddr(6), LineState::Shared));
+        h.count_ctoc_serve();
         h.fill(BlockAddr(8), LineState::Modified);
-        h.invalidate(BlockAddr(8));
-        h.invalidate(BlockAddr(2)); // clean: not a serve
-        assert_eq!(h.stats().ctoc_serves, 2);
+        assert!(h.invalidate(BlockAddr(8)));
+        assert_eq!(h.stats().ctoc_serves, 1);
     }
 
     #[test]
@@ -463,15 +453,15 @@ mod tests {
         h.fill(BlockAddr(0), LineState::Owned);
         assert!(matches!(h.write(BlockAddr(0)), AccessOutcome::UpgradeNeeded { .. }));
         assert_eq!(h.stats().write_upgrades, 1);
-        // A MOESI owner serving a read intervention stays Owned and counts
-        // a CtoC serve each time.
+        // A MOESI owner serving a read intervention stays Owned and the
+        // supplier each time.
         assert!(h.downgrade_to(BlockAddr(0), LineState::Owned));
         assert!(h.downgrade_to(BlockAddr(0), LineState::Owned));
         assert_eq!(h.probe(BlockAddr(0)), Some(LineState::Owned));
-        assert_eq!(h.stats().ctoc_serves, 2);
-        // Invalidating the dirty owner is a serve as well.
+        // The MOESI write round invalidates the owner: it was the supplier,
+        // but no data moves, so no CtoC serve is counted.
         assert!(h.invalidate(BlockAddr(0)));
-        assert_eq!(h.stats().ctoc_serves, 3);
+        assert_eq!(h.stats().ctoc_serves, 0);
     }
 
     #[test]
@@ -515,7 +505,7 @@ mod tests {
                         h.invalidate(block);
                     }
                     _ => {
-                        h.downgrade(block);
+                        h.downgrade_to(block, LineState::Shared);
                     }
                 }
                 assert!(h.inclusion_holds(), "seed {seed} step {step}");

@@ -7,7 +7,7 @@ use dresar_types::BlockAddr;
 /// Coherence state of a cached line. Absence from the array is the implicit
 /// INVALID state. The paper's protocol (§3.2) uses only S/M; the EXCLUSIVE
 /// and OWNED states exist for the MESI/MOESI members of the protocol family
-/// (`dresar-protocol`) and are never installed under MSI.
+/// ([`dresar_types::Protocol`]) and are never installed under MSI or DLS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LineState {
     /// Read-only copy; memory (or the owner's copyback) is up to date.
@@ -27,6 +27,14 @@ impl LineState {
     /// must be written back or supplied on eviction/intervention).
     pub fn is_dirty(self) -> bool {
         matches!(self, LineState::Modified | LineState::Owned)
+    }
+
+    /// Whether a line in this state supplies the block: it serves a
+    /// forwarded intervention instead of NAKing it, and the home books this
+    /// cache as the block's owner. Only dirty lines and MESI/MOESI's sole
+    /// clean EXCLUSIVE copy do; a SHARED copy never supplies.
+    pub fn supplies(self) -> bool {
+        matches!(self, LineState::Modified | LineState::Owned | LineState::Exclusive)
     }
 }
 
@@ -317,5 +325,13 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn only_shared_lines_do_not_supply() {
+        assert!(!LineState::Shared.supplies(), "a sharer NAKs interventions");
+        assert!(LineState::Modified.supplies());
+        assert!(LineState::Owned.supplies(), "the MOESI owner keeps serving readers");
+        assert!(LineState::Exclusive.supplies(), "the sole clean copy serves like M");
     }
 }

@@ -36,7 +36,6 @@ use dresar_interconnect::{Bmin, HopNetwork, SwitchId};
 use dresar_obs::{
     MachineShape, NullProbe, ObserverConfig, ObserverSet, Probe, ServicePoint, SwitchLoc,
 };
-use dresar_protocol::{spec, ProtoState};
 use dresar_stats::{BlockHistogram, ReadClass};
 use dresar_types::addr::AddressMap;
 use dresar_types::config::SystemConfig;
@@ -1526,11 +1525,10 @@ impl System {
     fn on_intervention<P: Probe>(&mut self, p: NodeId, msg: Message, t: Cycle, probe: &mut P) {
         let block = msg.block;
         let t_cache = t + self.cfg.l2.access_cycles as Cycle;
-        // Which resident states can service an intervention is a protocol
-        // property: M always; E under MESI/MOESI; O under MOESI.
-        let holds_dirty = self.nodes[p as usize].hier.probe(block).is_some_and(|s| {
-            spec(self.cfg.protocol).serves_intervention(ProtoState::from_line(Some(s)))
-        });
+        // A supplier line (M, O or E) serves; a Shared or absent one NAKs.
+        // No protocol check is needed: E is installed only under MESI/MOESI
+        // and O only under MOESI.
+        let supplier = self.nodes[p as usize].hier.probe(block).is_some_and(LineState::supplies);
         let d = DeferredIntervention {
             requester: msg.requester,
             write_intent: msg.write_intent,
@@ -1539,7 +1537,7 @@ impl System {
             owner_seq: msg.owner_seq,
             txn: msg.txn,
         };
-        if holds_dirty {
+        if supplier {
             // Home-generated interventions name the ownership instance they
             // target; serve only if that is the instance this cache holds.
             // A mismatch means the home cancelled the transaction after the
@@ -1622,14 +1620,12 @@ impl System {
                 self.nodes[p as usize].hier.probe(block),
                 Some(LineState::Modified | LineState::Owned)
             );
+        let hier = &mut self.nodes[p as usize].hier;
+        hier.count_ctoc_serve();
         if d.write_intent {
-            self.nodes[p as usize].hier.invalidate(block);
+            hier.invalidate(block);
         } else {
-            if retains {
-                self.nodes[p as usize].hier.downgrade_to(block, LineState::Owned);
-            } else {
-                self.nodes[p as usize].hier.downgrade(block);
-            }
+            hier.downgrade_to(block, if retains { LineState::Owned } else { LineState::Shared });
             // The owner cache is the service point of a read CtoC: the
             // data departs toward the requester now.
             probe.read_service_done(d.requester, block, t_cache, d.txn);

@@ -1,416 +1,22 @@
 //! # dresar-protocol
 //!
-//! The coherence-protocol *family* behind the dresar simulator: MSI (the
-//! paper's protocol), MESI, MOESI and the directoryless-shared-LLC (DLS)
-//! read baseline, all behind one transition-table interface — the
-//! protocol-family construction of BlackParrot's BedRock coherence engines
-//! (arXiv:2211.06390), sized down to this simulator's message vocabulary.
+//! The quiescent-state legality rules of the coherence-protocol family
+//! behind the dresar simulator: MSI (the paper's protocol), MESI, MOESI and
+//! the directoryless-shared-LLC (DLS) read baseline.
 //!
-//! The crate deliberately contains *no* simulation machinery. It answers
-//! three questions the rest of the workspace used to hard-code:
-//!
-//! 1. **What may a cache line be?** [`ProtoState`] — the per-protocol
-//!    line-state alphabet, generalizing the cache array's
-//!    [`LineState`] (absence = INVALID) with the EXCLUSIVE and OWNED
-//!    states of the larger protocols.
-//! 2. **What happens next?** [`ProtocolSpec::transition`] — a *total*
-//!    event × state table returning the next state and the action the node
-//!    owes the outside world. Pairs a protocol has no rule for return a
-//!    structured [`SimError::Protocol`], never a panic: chaos runs surface
-//!    them as sim errors instead of aborting the process.
-//! 3. **What is legal at quiescence?** [`holder_allowed`] — the
-//!    per-protocol holder/directory compatibility rules the end-of-run
-//!    coherence audit checks (single-owner differs under OWNED;
-//!    holder-coverage differs under EXCLUSIVE and the DLS bypass).
+//! The protocols themselves are not defined here. Each rule lives once, in
+//! the controller code that executes it (DESIGN.md §15 lists where). This
+//! crate answers the one question the end-of-run coherence audit asks:
+//! which (line state, home-directory claim) pairs may a quiesced holder be
+//! in under a given protocol? See [`holder_allowed`].
 //!
 //! Which member of the family runs is named by
-//! [`dresar_types::Protocol`], re-exported here; this crate maps the name
-//! to semantics via [`spec`].
+//! [`dresar_types::Protocol`], re-exported here.
 
 #![warn(missing_docs)]
 
 use dresar_cache::LineState;
-use dresar_faults::SimError;
 pub use dresar_types::Protocol;
-
-/// Per-protocol coherence state of one cache line, with INVALID explicit.
-///
-/// The cache arrays store only resident lines ([`LineState`]); this enum
-/// adds the absent state so transition tables can be total functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ProtoState {
-    /// Not resident.
-    Invalid,
-    /// Read-only copy; memory (or the owner) is up to date.
-    Shared,
-    /// Sole clean copy (MESI/MOESI): may upgrade to MODIFIED silently.
-    Exclusive,
-    /// Dirty copy shared with readers (MOESI): this cache supplies reads.
-    Owned,
-    /// Exclusive dirty copy.
-    Modified,
-}
-
-impl ProtoState {
-    /// Every state, in increasing strength order.
-    pub const ALL: [ProtoState; 5] = [
-        ProtoState::Invalid,
-        ProtoState::Shared,
-        ProtoState::Exclusive,
-        ProtoState::Owned,
-        ProtoState::Modified,
-    ];
-
-    /// Lifts a cache-array probe result (absent = INVALID).
-    pub fn from_line(line: Option<LineState>) -> ProtoState {
-        match line {
-            None => ProtoState::Invalid,
-            Some(LineState::Shared) => ProtoState::Shared,
-            Some(LineState::Exclusive) => ProtoState::Exclusive,
-            Some(LineState::Owned) => ProtoState::Owned,
-            Some(LineState::Modified) => ProtoState::Modified,
-        }
-    }
-
-    /// Lowers back to the cache-array representation.
-    pub fn to_line(self) -> Option<LineState> {
-        match self {
-            ProtoState::Invalid => None,
-            ProtoState::Shared => Some(LineState::Shared),
-            ProtoState::Exclusive => Some(LineState::Exclusive),
-            ProtoState::Owned => Some(LineState::Owned),
-            ProtoState::Modified => Some(LineState::Modified),
-        }
-    }
-
-    /// Whether the line holds data newer than memory.
-    pub fn is_dirty(self) -> bool {
-        matches!(self, ProtoState::Modified | ProtoState::Owned)
-    }
-
-    /// Short label for diagnostics.
-    pub fn label(self) -> &'static str {
-        match self {
-            ProtoState::Invalid => "I",
-            ProtoState::Shared => "S",
-            ProtoState::Exclusive => "E",
-            ProtoState::Owned => "O",
-            ProtoState::Modified => "M",
-        }
-    }
-}
-
-/// An event a cache line can experience.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtoEvent {
-    /// The local processor reads the line.
-    LocalRead,
-    /// The local processor writes the line.
-    LocalWrite,
-    /// Data arrives for a read miss; `exclusive` when the home granted the
-    /// sole-copy E state (MESI/MOESI unshared fill rule).
-    ReadFill {
-        /// The home saw no other holder and granted EXCLUSIVE.
-        exclusive: bool,
-    },
-    /// Data and ownership arrive for a write miss, or an upgrade is
-    /// granted for a resident read-only copy.
-    WriteFill,
-    /// A forwarded cache-to-cache *read* request arrives (home- or
-    /// switch-directory-generated).
-    InterventionRead,
-    /// A forwarded cache-to-cache *write* request arrives.
-    InterventionWrite,
-    /// The home orders this copy destroyed on behalf of a writer.
-    Invalidate,
-    /// Replacement evicts the line.
-    Evict,
-}
-
-impl ProtoEvent {
-    /// Every event (both fill flavors), for exhaustiveness sweeps.
-    pub const ALL: [ProtoEvent; 9] = [
-        ProtoEvent::LocalRead,
-        ProtoEvent::LocalWrite,
-        ProtoEvent::ReadFill { exclusive: false },
-        ProtoEvent::ReadFill { exclusive: true },
-        ProtoEvent::WriteFill,
-        ProtoEvent::InterventionRead,
-        ProtoEvent::InterventionWrite,
-        ProtoEvent::Invalidate,
-        ProtoEvent::Evict,
-    ];
-}
-
-/// What a node owes the outside world after a transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtoAction {
-    /// Nothing: the event completed locally.
-    None,
-    /// Miss: request the block (read or write flavor per the event).
-    RequestFill,
-    /// Resident but not writable: request ownership from the home.
-    RequestUpgrade,
-    /// EXCLUSIVE local write: upgrade silently, no directory transaction.
-    SilentUpgrade,
-    /// Serve a read intervention: send data to the requester and a
-    /// copyback to memory, keeping a SHARED copy.
-    SupplyShared,
-    /// Serve a read intervention MOESI-style: send data to the requester,
-    /// tell the home, but *retain* the dirty line as OWNED.
-    SupplyRetain,
-    /// Serve a write intervention: send data to the requester and
-    /// surrender the copy.
-    SupplyInvalidate,
-    /// Cannot serve the intervention (stale hint or ownership raced
-    /// away): negative-acknowledge the requester.
-    Nak,
-    /// Acknowledge an invalidation.
-    Ack,
-    /// Evict with a message to the home: dirty data, or the clean
-    /// EXCLUSIVE replacement notice the home needs to stop forwarding
-    /// interventions here.
-    Writeback,
-    /// Evict silently.
-    Drop,
-}
-
-/// One row of the transition table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Transition {
-    /// State after the event.
-    pub next: ProtoState,
-    /// Externally visible obligation.
-    pub action: ProtoAction,
-}
-
-impl Transition {
-    fn new(next: ProtoState, action: ProtoAction) -> Self {
-        Transition { next, action }
-    }
-}
-
-/// The behavior of one member of the protocol family.
-///
-/// Implementations are stateless value tables; the simulator holds one
-/// `&'static dyn ProtocolSpec` per system and consults it wherever the MSI
-/// rules used to be inlined.
-pub trait ProtocolSpec: Sync {
-    /// Which member this is.
-    fn protocol(&self) -> Protocol;
-
-    /// The states this protocol installs in caches (always includes
-    /// SHARED and MODIFIED; never INVALID).
-    fn states(&self) -> &'static [ProtoState];
-
-    /// The state a read fill installs. `exclusive_grant` is the home's
-    /// unshared-fill signal; protocols without an E state install SHARED
-    /// regardless.
-    fn read_fill_state(&self, exclusive_grant: bool) -> ProtoState {
-        if exclusive_grant && self.protocol().exclusive_read_fill() {
-            ProtoState::Exclusive
-        } else {
-            ProtoState::Shared
-        }
-    }
-
-    /// Whether a holder in `state` serves a forwarded intervention (as
-    /// opposed to NAKing it). `{M}` under MSI/DLS, `{M, E}` under MESI,
-    /// `{M, E, O}` under MOESI.
-    fn serves_intervention(&self, state: ProtoState) -> bool {
-        match state {
-            ProtoState::Modified => true,
-            ProtoState::Exclusive => self.protocol().exclusive_read_fill(),
-            ProtoState::Owned => self.protocol().owner_retains_on_read(),
-            ProtoState::Invalid | ProtoState::Shared => false,
-        }
-    }
-
-    /// The total event × state table. Every pair returns either a defined
-    /// [`Transition`] or a structured [`SimError::Protocol`]; no pair may
-    /// panic (the chaos suite drives arbitrary interleavings through it).
-    fn transition(&self, state: ProtoState, event: ProtoEvent) -> Result<Transition, SimError>;
-}
-
-/// Shorthand for a table miss.
-fn undefined(p: Protocol, state: ProtoState, event: ProtoEvent) -> SimError {
-    SimError::Protocol {
-        context: "proto_transition",
-        detail: format!("{p} has no transition for state {} on {event:?}", state.label()),
-    }
-}
-
-/// Transitions shared by every member of the family. Returns `None` for
-/// the pairs where members differ (or that are undefined).
-fn common_transition(state: ProtoState, event: ProtoEvent) -> Option<Transition> {
-    use ProtoAction as A;
-    use ProtoEvent as E;
-    use ProtoState as S;
-    let t = Transition::new;
-    match (state, event) {
-        // Local accesses.
-        (S::Invalid, E::LocalRead | E::LocalWrite) => Some(t(S::Invalid, A::RequestFill)),
-        (s, E::LocalRead) if s != S::Invalid => Some(t(s, A::None)),
-        (S::Shared | S::Owned, E::LocalWrite) => Some(t(state, A::RequestUpgrade)),
-        (S::Modified, E::LocalWrite) => Some(t(S::Modified, A::None)),
-        (S::Exclusive, E::LocalWrite) => Some(t(S::Modified, A::SilentUpgrade)),
-        // Fills. Non-exclusive read fills and write fills look the same
-        // everywhere; the E-grant flavor is per-protocol.
-        (S::Invalid, E::ReadFill { exclusive: false }) => Some(t(S::Shared, A::None)),
-        (S::Invalid | S::Shared | S::Owned, E::WriteFill) => Some(t(S::Modified, A::None)),
-        // Interventions a non-holder (or bare sharer) cannot serve: the
-        // forwarding directory raced a state change; NAK for retry.
-        (S::Invalid | S::Shared, E::InterventionRead | E::InterventionWrite) => {
-            Some(t(state, A::Nak))
-        }
-        // Write interventions surrender the copy with the data.
-        (S::Modified, E::InterventionWrite) => Some(t(S::Invalid, A::SupplyInvalidate)),
-        // Invalidations are always obeyed, whatever was held — for OWNED
-        // this is the MOESI write-round rule: the new writer's data
-        // supersedes the owner's, so the dirty copy dies without a
-        // writeback.
-        (_, E::Invalidate) => Some(t(S::Invalid, A::Ack)),
-        // Replacement.
-        (S::Shared, E::Evict) => Some(t(S::Invalid, A::Drop)),
-        (S::Modified | S::Owned | S::Exclusive, E::Evict) => Some(t(S::Invalid, A::Writeback)),
-        _ => None,
-    }
-}
-
-/// Table for protocols whose only dirty-supplier state is MODIFIED and
-/// whose read fills are always SHARED (MSI, and DLS on the cache side).
-fn two_state_transition(
-    p: Protocol,
-    state: ProtoState,
-    event: ProtoEvent,
-) -> Result<Transition, SimError> {
-    use ProtoAction as A;
-    use ProtoEvent as E;
-    use ProtoState as S;
-    // E and O are unreachable: every event from them is a table miss.
-    if matches!(state, S::Exclusive | S::Owned) {
-        return Err(undefined(p, state, event));
-    }
-    match (state, event) {
-        (S::Modified, E::InterventionRead) => Ok(Transition::new(S::Shared, A::SupplyShared)),
-        (S::Invalid, E::ReadFill { exclusive: true }) => Err(undefined(p, state, event)),
-        _ => common_transition(state, event).ok_or_else(|| undefined(p, state, event)),
-    }
-}
-
-/// The paper's MSI protocol.
-pub struct Msi;
-/// MESI: MSI plus the EXCLUSIVE clean-owner state.
-pub struct Mesi;
-/// MOESI: MESI plus the OWNED dirty-sharing state.
-pub struct Moesi;
-/// Directoryless-shared-LLC read baseline: MSI caches under a home that
-/// serves reads to dirty blocks straight from memory.
-pub struct Dls;
-
-impl ProtocolSpec for Msi {
-    fn protocol(&self) -> Protocol {
-        Protocol::Msi
-    }
-    fn states(&self) -> &'static [ProtoState] {
-        &[ProtoState::Shared, ProtoState::Modified]
-    }
-    fn transition(&self, state: ProtoState, event: ProtoEvent) -> Result<Transition, SimError> {
-        two_state_transition(Protocol::Msi, state, event)
-    }
-}
-
-impl ProtocolSpec for Dls {
-    fn protocol(&self) -> Protocol {
-        Protocol::Dls
-    }
-    fn states(&self) -> &'static [ProtoState] {
-        &[ProtoState::Shared, ProtoState::Modified]
-    }
-    fn transition(&self, state: ProtoState, event: ProtoEvent) -> Result<Transition, SimError> {
-        two_state_transition(Protocol::Dls, state, event)
-    }
-}
-
-impl ProtocolSpec for Mesi {
-    fn protocol(&self) -> Protocol {
-        Protocol::Mesi
-    }
-    fn states(&self) -> &'static [ProtoState] {
-        &[ProtoState::Shared, ProtoState::Exclusive, ProtoState::Modified]
-    }
-    fn transition(&self, state: ProtoState, event: ProtoEvent) -> Result<Transition, SimError> {
-        use ProtoAction as A;
-        use ProtoEvent as E;
-        use ProtoState as S;
-        if state == S::Owned {
-            return Err(undefined(Protocol::Mesi, state, event));
-        }
-        match (state, event) {
-            (S::Invalid, E::ReadFill { exclusive: true }) => {
-                Ok(Transition::new(S::Exclusive, A::None))
-            }
-            (S::Modified, E::InterventionRead) => Ok(Transition::new(S::Shared, A::SupplyShared)),
-            // A clean E holder serves reads too (it is the only copy) and
-            // downgrades; memory is already current, so the copyback
-            // carries no new data but still releases the home's
-            // ownership record.
-            (S::Exclusive, E::InterventionRead) => Ok(Transition::new(S::Shared, A::SupplyShared)),
-            (S::Exclusive, E::InterventionWrite) => {
-                Ok(Transition::new(S::Invalid, A::SupplyInvalidate))
-            }
-            // An E holder never *requests* a write fill — the silent
-            // upgrade rule makes that transaction a livelock against the
-            // home's ownership record.
-            (S::Exclusive, E::WriteFill) => Err(undefined(Protocol::Mesi, state, event)),
-            _ => common_transition(state, event)
-                .ok_or_else(|| undefined(Protocol::Mesi, state, event)),
-        }
-    }
-}
-
-impl ProtocolSpec for Moesi {
-    fn protocol(&self) -> Protocol {
-        Protocol::Moesi
-    }
-    fn states(&self) -> &'static [ProtoState] {
-        &[ProtoState::Shared, ProtoState::Exclusive, ProtoState::Owned, ProtoState::Modified]
-    }
-    fn transition(&self, state: ProtoState, event: ProtoEvent) -> Result<Transition, SimError> {
-        use ProtoAction as A;
-        use ProtoEvent as E;
-        use ProtoState as S;
-        match (state, event) {
-            (S::Invalid, E::ReadFill { exclusive: true }) => {
-                Ok(Transition::new(S::Exclusive, A::None))
-            }
-            // The owner-supplies rule: serving a read keeps the dirty line
-            // and the supply duty, instead of laundering it through memory.
-            (S::Modified, E::InterventionRead) => Ok(Transition::new(S::Owned, A::SupplyRetain)),
-            (S::Owned, E::InterventionRead) => Ok(Transition::new(S::Owned, A::SupplyRetain)),
-            (S::Owned, E::InterventionWrite) => {
-                Ok(Transition::new(S::Invalid, A::SupplyInvalidate))
-            }
-            (S::Exclusive, E::InterventionRead) => Ok(Transition::new(S::Shared, A::SupplyShared)),
-            (S::Exclusive, E::InterventionWrite) => {
-                Ok(Transition::new(S::Invalid, A::SupplyInvalidate))
-            }
-            (S::Exclusive, E::WriteFill) => Err(undefined(Protocol::Moesi, state, event)),
-            _ => common_transition(state, event)
-                .ok_or_else(|| undefined(Protocol::Moesi, state, event)),
-        }
-    }
-}
-
-/// Maps the protocol name to its semantics.
-pub fn spec(p: Protocol) -> &'static dyn ProtocolSpec {
-    match p {
-        Protocol::Msi => &Msi,
-        Protocol::Mesi => &Mesi,
-        Protocol::Moesi => &Moesi,
-        Protocol::Dls => &Dls,
-    }
-}
 
 /// What the home directory claims about one (block, holder) pair, as seen
 /// by the end-of-run coherence audit.
@@ -468,152 +74,6 @@ pub fn holder_allowed(p: Protocol, state: LineState, claim: HomeClaim) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The satellite exhaustiveness guard: every protocol, every state,
-    /// every event — each pair must produce either a defined transition or
-    /// a structured `SimError::Protocol`. The call itself must never
-    /// panic; reaching the end of this test proves there is no
-    /// `unreachable!()` in any dispatch path.
-    #[test]
-    fn every_state_event_pair_is_defined_or_a_structured_error() {
-        for p in Protocol::ALL {
-            let s = spec(p);
-            assert_eq!(s.protocol(), p);
-            for state in ProtoState::ALL {
-                for event in ProtoEvent::ALL {
-                    match s.transition(state, event) {
-                        Ok(t) => {
-                            // A defined transition must stay inside the
-                            // protocol's installable alphabet.
-                            assert!(
-                                t.next == ProtoState::Invalid || s.states().contains(&t.next),
-                                "{p}: {} --{event:?}--> {} leaves the alphabet",
-                                state.label(),
-                                t.next.label()
-                            );
-                        }
-                        Err(SimError::Protocol { context, detail }) => {
-                            assert_eq!(context, "proto_transition");
-                            assert!(detail.contains(state.label()), "{p}: {detail}");
-                        }
-                        Err(other) => panic!("{p}: wrong error family: {other}"),
-                    }
-                }
-            }
-        }
-    }
-
-    /// States outside a protocol's alphabet define no transitions at all;
-    /// states inside it define every event except the per-protocol
-    /// explicit holes.
-    #[test]
-    fn alphabet_states_are_fully_defined() {
-        for p in Protocol::ALL {
-            let s = spec(p);
-            for state in ProtoState::ALL {
-                let in_alphabet = state == ProtoState::Invalid || s.states().contains(&state);
-                for event in ProtoEvent::ALL {
-                    let defined = s.transition(state, event).is_ok();
-                    if !in_alphabet {
-                        assert!(!defined, "{p}: unreachable state {} has a rule", state.label());
-                        continue;
-                    }
-                    // The explicit holes: I never evicts; read fills only
-                    // land on I (the simulator dedups duplicate replies
-                    // before consulting the table) and only E-fill under
-                    // MESI/MOESI; write fills never land on a line that is
-                    // already writable — for E that is the silent-upgrade
-                    // livelock rule, for M it would be a double grant.
-                    let hole = match (state, event) {
-                        (ProtoState::Invalid, ProtoEvent::Evict) => true,
-                        (s, ProtoEvent::ReadFill { exclusive }) => {
-                            s != ProtoState::Invalid || (exclusive && !p.exclusive_read_fill())
-                        }
-                        (ProtoState::Exclusive | ProtoState::Modified, ProtoEvent::WriteFill) => {
-                            true
-                        }
-                        _ => false,
-                    };
-                    assert_eq!(
-                        defined,
-                        !hole,
-                        "{p}: state {} event {event:?}: defined={defined}",
-                        state.label()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn msi_matches_the_papers_hardwired_rules() {
-        let s = spec(Protocol::Msi);
-        assert_eq!(s.read_fill_state(true), ProtoState::Shared, "MSI has no E grant");
-        assert_eq!(s.read_fill_state(false), ProtoState::Shared);
-        assert!(s.serves_intervention(ProtoState::Modified));
-        assert!(!s.serves_intervention(ProtoState::Shared));
-        let t = s.transition(ProtoState::Modified, ProtoEvent::InterventionRead).unwrap();
-        assert_eq!(t, Transition::new(ProtoState::Shared, ProtoAction::SupplyShared));
-        let t = s.transition(ProtoState::Modified, ProtoEvent::InterventionWrite).unwrap();
-        assert_eq!(t, Transition::new(ProtoState::Invalid, ProtoAction::SupplyInvalidate));
-        let t = s.transition(ProtoState::Shared, ProtoEvent::LocalWrite).unwrap();
-        assert_eq!(t.action, ProtoAction::RequestUpgrade);
-    }
-
-    #[test]
-    fn mesi_grants_and_silently_upgrades_exclusive() {
-        let s = spec(Protocol::Mesi);
-        assert_eq!(s.read_fill_state(true), ProtoState::Exclusive);
-        assert_eq!(s.read_fill_state(false), ProtoState::Shared);
-        assert!(s.serves_intervention(ProtoState::Exclusive));
-        assert!(!s.serves_intervention(ProtoState::Owned), "O is not MESI");
-        let t = s.transition(ProtoState::Exclusive, ProtoEvent::LocalWrite).unwrap();
-        assert_eq!(t, Transition::new(ProtoState::Modified, ProtoAction::SilentUpgrade));
-        let t = s.transition(ProtoState::Exclusive, ProtoEvent::InterventionRead).unwrap();
-        assert_eq!(t, Transition::new(ProtoState::Shared, ProtoAction::SupplyShared));
-        let t = s.transition(ProtoState::Exclusive, ProtoEvent::Evict).unwrap();
-        assert_eq!(t.action, ProtoAction::Writeback, "silent E drop would wedge the home");
-        assert!(s.transition(ProtoState::Owned, ProtoEvent::LocalRead).is_err());
-    }
-
-    #[test]
-    fn moesi_owner_retains_and_supplies() {
-        let s = spec(Protocol::Moesi);
-        let t = s.transition(ProtoState::Modified, ProtoEvent::InterventionRead).unwrap();
-        assert_eq!(t, Transition::new(ProtoState::Owned, ProtoAction::SupplyRetain));
-        let t = s.transition(ProtoState::Owned, ProtoEvent::InterventionRead).unwrap();
-        assert_eq!(t, Transition::new(ProtoState::Owned, ProtoAction::SupplyRetain));
-        assert!(s.serves_intervention(ProtoState::Owned));
-        let t = s.transition(ProtoState::Owned, ProtoEvent::LocalWrite).unwrap();
-        assert_eq!(t.action, ProtoAction::RequestUpgrade, "sharers must be invalidated first");
-        // The write-round rule: an invalidated owner's data is superseded.
-        let t = s.transition(ProtoState::Owned, ProtoEvent::Invalidate).unwrap();
-        assert_eq!(t, Transition::new(ProtoState::Invalid, ProtoAction::Ack));
-    }
-
-    #[test]
-    fn dls_keeps_msi_caches() {
-        let s = spec(Protocol::Dls);
-        assert_eq!(s.read_fill_state(true), ProtoState::Shared);
-        assert!(!s.serves_intervention(ProtoState::Exclusive));
-        assert!(s.transition(ProtoState::Exclusive, ProtoEvent::LocalRead).is_err());
-        // Switch-directory interventions still reach DLS caches.
-        let t = s.transition(ProtoState::Modified, ProtoEvent::InterventionRead).unwrap();
-        assert_eq!(t.action, ProtoAction::SupplyShared);
-    }
-
-    #[test]
-    fn state_round_trips_through_the_cache_representation() {
-        for state in ProtoState::ALL {
-            assert_eq!(ProtoState::from_line(state.to_line()), state);
-            assert_eq!(
-                state.is_dirty(),
-                state.to_line().is_some_and(LineState::is_dirty),
-                "{}",
-                state.label()
-            );
-        }
-    }
 
     #[test]
     fn holder_rules_differ_exactly_where_the_protocols_do() {

@@ -4,9 +4,11 @@
 //! protocol. This module names the protocol *family* the workspace now
 //! models — the identifier lives here (the bottom of the crate graph) so
 //! configuration ([`crate::config::SystemConfig`]), request specs
-//! ([`crate::RunSpec`]) and every simulator crate can agree on it; the
-//! per-protocol line-state machine and invariant rules live in
-//! `dresar-protocol`, which builds on top of the cache and fault crates.
+//! ([`crate::RunSpec`]) and every simulator crate can agree on it. Each
+//! protocol rule lives once, in the controller code that executes it (the
+//! home directory, the cache hierarchy and the system's intervention
+//! handler; DESIGN.md §15 lists where); `dresar-protocol` holds only the
+//! quiescent-state legality rules the coherence audit checks.
 
 use crate::json::{FromJson, JsonError, JsonValue, ToJson};
 

@@ -6,7 +6,7 @@ use dresar_workspace::dresar::system::{RunOptions, System};
 use dresar_workspace::dresar::TransientReadPolicy;
 use dresar_workspace::types::config::{SwitchDirConfig, SystemConfig};
 use dresar_workspace::types::rng::SmallRng;
-use dresar_workspace::types::{StreamItem, Workload};
+use dresar_workspace::types::{Protocol, StreamItem, Workload};
 
 fn random_workload(seed: u64, procs: usize, refs_per_proc: usize, blocks: u64) -> Workload {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -43,14 +43,23 @@ fn opts() -> RunOptions {
 
 #[test]
 fn random_workloads_complete_on_base_and_switchdir_machines() {
-    for seed in 0..6u64 {
-        let w = random_workload(seed, 16, 120, 64);
-        let total = w.total_refs() as u64;
-        let base = System::new(cfg(None), &w).run(opts());
-        assert_eq!(base.refs_executed, total, "base lost references (seed {seed})");
-        for entries in [256u32, 1024] {
-            let r = System::new(cfg(Some(entries)), &w).run(opts());
-            assert_eq!(r.refs_executed, total, "sd-{entries} lost references (seed {seed})");
+    // Every protocol through the live controller: each run executes every
+    // reference and quiesces with a clean per-protocol coherence audit.
+    for protocol in Protocol::ALL {
+        for seed in 0..6u64 {
+            let w = random_workload(seed, 16, 120, 64);
+            let total = w.total_refs() as u64;
+            for sd in [None, Some(256u32), Some(1024)] {
+                let mut c = cfg(sd);
+                c.protocol = protocol;
+                let r = System::new(c, &w).run(RunOptions { verify_coherence: true, ..opts() });
+                let run = format!("{protocol} sd={sd:?} seed {seed}");
+                assert_eq!(r.refs_executed, total, "{run}: lost references");
+                assert!(r.sim_errors.is_empty(), "{run}: sim errors {:?}", r.sim_errors);
+                let audit = r.coherence.expect("verify_coherence was requested");
+                assert!(audit.quiesced, "{run}: did not quiesce");
+                assert!(audit.ok(), "{run}: coherence violations {:?}", audit.violations);
+            }
         }
     }
 }
