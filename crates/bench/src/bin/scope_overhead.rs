@@ -17,15 +17,14 @@
 //! ```
 //!
 //! Both configurations run the identical workload through the identical
-//! runner ([`dresar_bench::plan::run_plan`]); only the observer config
+//! runner ([`dresar_bench::plan::run_entry`]); only the observer config
 //! differs, so the ratio isolates the probe dispatch + ring-write cost.
 //! Per-config throughput is the *best* of `--repeats` runs (default 3):
 //! minimum-noise estimators compare far more stably than means on shared
 //! CI hosts.
 
 use dresar::system::RunOptions;
-use dresar_bench::plan::{run_plan, suite, sweep, Bench, Run};
-use dresar_bench::sweep::SweepRunner;
+use dresar_bench::plan::{run_entry, suite, sweep, Bench, Run};
 use dresar_bench::{json_doc, Cli};
 use dresar_obs::{ObserverConfig, DEFAULT_FLIGHT_CAPACITY};
 use dresar_workloads::Scale;
@@ -84,9 +83,9 @@ fn main() {
 
 /// One FFT sd1024 run under `observers`, on the calling thread.
 fn run_fft(fft: &Bench, observers: ObserverConfig) -> Run {
-    let plan =
+    let mut plan =
         sweep([fft], &[("sd1024", Some(1024))], RunOptions { observers, ..RunOptions::default() });
-    run_plan(plan, SweepRunner::serial()).remove(0)
+    run_entry(plan.remove(0))
 }
 
 /// Simulated cycles per wall-clock second of one run.

@@ -23,17 +23,14 @@
 //! * `bench_report`, `dresar_diff`, `scope_overhead` — telemetry, its
 //!   explainer and the observability cost guard.
 //!
-//! Timing benches (plain `std::time` harnesses, run with `cargo bench`):
-//! `switchdir_micro` (snoop/insert throughput), `crossbar` (flit-level
-//! arbitration), `figures` (end-to-end per-workload simulation cost) and
-//! `ablations` (design-choice comparisons).
+//! Host timing is `perfbench`'s job (the repository benchmark, outside this
+//! workspace): end-to-end and per-layer costs of these same runs.
 //!
 //! The `probe`, `ablations`, `fig1`, `fig2` and `all_figures` binaries also
 //! accept `--json` to emit their results as a single machine-readable JSON
 //! document on stdout (see the README's "Observability" section).
 
 pub mod benefit;
-pub mod harness;
 pub mod plan;
 pub mod sweep;
 
@@ -41,7 +38,7 @@ use dresar_stats::{percent_reduction, BlockHistogram, FigureTable, ReadStats};
 use dresar_trace_sim::TraceSimulator;
 use dresar_types::config::TraceSimConfig;
 use dresar_types::{JsonValue, ToJson};
-use dresar_workloads::{commercial, Scale};
+use dresar_workloads::{generate, Scale};
 use plan::{find, Bench, Run, COMMERCIAL_SEED, SIZE_CONFIGS};
 
 /// Figure-relevant metrics extracted from either simulator.
@@ -184,7 +181,7 @@ pub fn size_tables(scale: Scale, benches: &[Bench], runs: &[Run]) -> Vec<FigureT
 /// machine. The one simulation outside the run plan — it needs the trace
 /// simulator's histogram collection, which no other figure uses.
 pub fn fig2_histogram(scale: Scale) -> BlockHistogram {
-    let workload = commercial::tpcc(16, scale.commercial_refs(), COMMERCIAL_SEED);
+    let workload = generate("TPC-C", 16, scale, COMMERCIAL_SEED).expect("TPC-C is an application");
     let mut sim = TraceSimulator::new(TraceSimConfig::paper_base());
     sim.collect_histogram();
     sim.run(&workload).histogram.expect("histogram collected")

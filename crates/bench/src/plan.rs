@@ -2,9 +2,11 @@
 //!
 //! A plan is a list of [`Entry`]s — name, machine, workload, run options and
 //! post-run checks — and [`run_plan`] is the one function that executes any
-//! plan. It shards the entries over a [`SweepRunner`], builds each entry's
-//! simulator inside its worker, applies the entry's checks, times the run,
-//! and returns the results sorted by name. Each figure family is a function
+//! plan. It shards the entries over a [`SweepRunner`], runs each entry with
+//! [`run_entry`] inside its worker, and returns the results sorted by name.
+//! [`run_entry`] builds the entry's simulator, applies the entry's checks and
+//! times the run; it is the one simulator builder, shared by the figure
+//! binaries and the `dresar-serve` service. Each figure family is a function
 //! returning entries ([`size_plan`], [`scaling_plan`], [`protocol_plan`],
 //! ...); the binaries are views that build a plan, run it and format the
 //! resulting [`Run`]s.
@@ -24,7 +26,7 @@ use dresar_obs::{MetricsRegistry, ObsReport, ObserverConfig, DEFAULT_ATTRIB_WIND
 use dresar_trace_sim::{TraceReport, TraceSimulator};
 use dresar_types::config::{SwitchDirConfig, SystemConfig, TraceSimConfig};
 use dresar_types::{Protocol, Workload};
-use dresar_workloads::{commercial, scientific, Scale};
+use dresar_workloads::{generate, is_commercial, scientific, Scale, APPS};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -61,11 +63,25 @@ impl Machine {
         }
     }
 
+    /// The switch-directory geometry (`None` = base machine).
+    pub fn switch_dir(&self) -> Option<SwitchDirConfig> {
+        match self {
+            Machine::Execution(c) | Machine::Crossbar(c) => c.switch_dir,
+            Machine::Trace(c) => c.switch_dir,
+        }
+    }
+
     /// Switch-directory entries per switch (`None` = base machine).
     pub fn sd_entries(&self) -> Option<u32> {
+        self.switch_dir().map(|s| s.entries)
+    }
+
+    /// Checks the whole configuration (node count against the switch
+    /// radix, cache and switch-directory geometry).
+    pub fn validate(&self) -> Result<(), String> {
         match self {
-            Machine::Execution(c) | Machine::Crossbar(c) => c.switch_dir.map(|s| s.entries),
-            Machine::Trace(c) => c.switch_dir.map(|s| s.entries),
+            Machine::Execution(c) | Machine::Crossbar(c) => c.validate(),
+            Machine::Trace(c) => c.validate(),
         }
     }
 }
@@ -229,18 +245,23 @@ pub fn find<'a>(runs: &'a [Run], name: &str) -> &'a Run {
 }
 
 /// Executes `plan` through `runner` and returns its runs sorted by name.
-/// This is the only place the harness builds a simulator.
 pub fn run_plan(plan: Vec<Entry>, runner: SweepRunner) -> Vec<Run> {
     let jobs: Vec<Job<'static, Run>> = plan
         .into_iter()
-        .map(|entry| -> Job<'static, Run> { Box::new(move || execute(entry)) })
+        .map(|entry| -> Job<'static, Run> { Box::new(move || run_entry(entry)) })
         .collect();
     let mut runs = runner.run_jobs(jobs);
     runs.sort_by(|a, b| a.name.cmp(&b.name));
     runs
 }
 
-fn execute(entry: Entry) -> Run {
+/// Runs one entry on the calling thread: generates its streams if no entry
+/// has yet, builds and runs its simulator, and applies its checks. This is
+/// the only place a simulator is built for a plan or a served request.
+///
+/// # Panics
+/// If the entry is [`Entry::checked`] and a check fails.
+pub fn run_entry(entry: Entry) -> Run {
     let workload = entry.workload.get();
     let t0 = Instant::now();
     let report = match entry.machine {
@@ -306,6 +327,24 @@ pub struct Bench {
 }
 
 impl Bench {
+    /// Application `label` (one of [`APPS`]) on `nodes` processors at
+    /// `scale`, on the machine the paper evaluates it with: scientific
+    /// kernels execution-driven on Table 2, commercial traces trace-driven
+    /// on Table 3 (both with the paper's switch directories; entries set
+    /// their own). `seed` feeds the commercial trace generators.
+    pub fn new(label: &'static str, nodes: usize, scale: Scale, seed: u64) -> Bench {
+        let machine = if is_commercial(label) {
+            Machine::Trace(TraceSimConfig { nodes, ..TraceSimConfig::paper_table3() })
+        } else {
+            Machine::Execution(SystemConfig { nodes, ..SystemConfig::paper_table2() })
+        };
+        let workload = Streams::new(move || {
+            generate(label, nodes, scale, seed)
+                .unwrap_or_else(|| panic!("'{label}' is not an application label"))
+        });
+        Bench { label, machine, workload }
+    }
+
     /// Whether the execution-driven simulator runs this workload.
     pub fn is_execution(&self) -> bool {
         matches!(self.machine, Machine::Execution(_))
@@ -326,25 +365,7 @@ impl Bench {
 
 /// The paper's seven-workload evaluation suite at a given scale.
 pub fn suite(scale: Scale) -> Vec<Bench> {
-    const P: usize = 16;
-    let exec = Machine::Execution(SystemConfig::paper_table2());
-    let trace = Machine::Trace(TraceSimConfig::paper_table3());
-    let bench = |label, machine, generate: fn(Scale) -> Workload| Bench {
-        label,
-        machine,
-        workload: Streams::new(move || generate(scale)),
-    };
-    vec![
-        bench("FFT", exec, |s| scientific::fft(P, s.fft_points())),
-        bench("TC", exec, |s| scientific::tc(P, s.matrix_n())),
-        bench("SOR", exec, |s| scientific::sor(P, s.grid_n(), s.sor_iters())),
-        bench("FWA", exec, |s| scientific::fwa(P, s.matrix_n())),
-        bench("GAUSS", exec, |s| scientific::gauss(P, s.matrix_n())),
-        bench("TPC-C", trace, |s| commercial::tpcc(P, s.commercial_refs(), COMMERCIAL_SEED)),
-        bench("TPC-D", trace, |s| {
-            commercial::tpcd(P, s.commercial_refs(), COMMERCIAL_SEED ^ 0x9e37_79b9)
-        }),
-    ]
+    APPS.iter().map(|&label| Bench::new(label, 16, scale, COMMERCIAL_SEED)).collect()
 }
 
 /// Base and the paper's 1K-entry directory: the pair behind
@@ -414,13 +435,18 @@ pub fn faulted_plan(benches: &[Bench], plan: FaultPlan) -> Vec<Entry> {
 }
 
 fn faulted(b: &Bench, tag: &str, plan: FaultPlan) -> Entry {
-    let options = RunOptions {
+    b.entry(tag, Some(1024), faulted_options(plan))
+}
+
+/// Run options for a run under fault plan `plan`: the watchdog turns a
+/// livelock into a report and the coherence audit checks the outcome.
+pub fn faulted_options(plan: FaultPlan) -> RunOptions {
+    RunOptions {
         faults: Some(plan),
         watchdog: Some(WatchdogConfig::default()),
         verify_coherence: true,
         ..RunOptions::default()
-    };
-    b.entry(tag, Some(1024), options)
+    }
 }
 
 /// The first `bench_report` stage: every workload at base and sd1024, plus
@@ -541,21 +567,18 @@ pub fn scaling_plan(points: &[(usize, u32)], scale: Scale) -> Vec<Entry> {
 /// paper's 16-node machine, named `<workload>.<protocol>.<config>`. Every
 /// run is audited by the per-protocol coherence checker.
 pub fn protocol_plan(protocols: &[Protocol], scale: Scale) -> Vec<Entry> {
-    let kernels = [
-        ("FFT", Streams::new(move || scientific::fft(16, scale.fft_points()))),
-        ("SOR", Streams::new(move || scientific::sor(16, scale.grid_n(), scale.sor_iters()))),
-    ];
+    let kernels = [Bench::new("FFT", 16, scale, 0), Bench::new("SOR", 16, scale, 0)];
     let mut plan = Vec::new();
     for &protocol in protocols {
         let mut cfg = SystemConfig::paper_table2();
         cfg.protocol = protocol;
-        for &(label, ref workload) in &kernels {
+        for b in &kernels {
             for (tag, sd) in SCALING_CONFIGS {
                 plan.push(Entry {
-                    name: format!("{label}.{protocol}.{tag}"),
-                    label,
+                    name: format!("{}.{protocol}.{tag}", b.label),
+                    label: b.label,
                     machine: Machine::Execution(cfg).with_sd(sd),
-                    workload: workload.clone(),
+                    workload: b.workload.clone(),
                     options: audited(),
                     checked: true,
                 });
@@ -595,7 +618,7 @@ pub fn ablation_variants() -> Vec<(&'static str, SystemConfig, TransientReadPoli
 /// The two workloads the ablations run, as `(label, streams)`.
 pub fn ablation_workloads(scale: Scale) -> [(&'static str, Streams); 2] {
     [
-        ("FFT", Streams::new(move || scientific::fft(16, scale.fft_points()))),
+        ("FFT", Bench::new("FFT", 16, scale, 0).workload),
         ("SOR", Streams::new(move || scientific::sor(16, scale.grid_n().min(192), 2))),
     ]
 }

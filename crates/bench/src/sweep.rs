@@ -11,11 +11,11 @@
 //! * results land in a slot table indexed by submission order, so assembly
 //!   never observes completion order;
 //! * anything order-dependent downstream (every plan's runs) is sorted by
-//!   run name, same as the serial path.
+//!   run name.
 //!
 //! Thread count comes from `DRESAR_SWEEP_THREADS` (0 or unset → one per
-//! available core); `DRESAR_SWEEP_THREADS=1` forces serial execution,
-//! which CI uses on one leg of the identity check.
+//! available core); `DRESAR_SWEEP_THREADS=1` forces serial execution (one
+//! worker), which CI uses on one leg of the identity check.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -46,7 +46,7 @@ impl SweepRunner {
         SweepRunner { threads: thread_count() }
     }
 
-    /// Runner that executes jobs one after another on the calling thread.
+    /// Runner that executes jobs one after another on one worker thread.
     pub fn serial() -> Self {
         SweepRunner { threads: 1 }
     }
@@ -80,22 +80,6 @@ impl SweepRunner {
         jobs: Vec<Job<'a, R>>,
     ) -> Result<Vec<R>, SweepPanicReport> {
         let n = jobs.len();
-        if self.threads <= 1 || n <= 1 {
-            let mut results = Vec::with_capacity(n);
-            let mut panics = Vec::new();
-            for (i, job) in jobs.into_iter().enumerate() {
-                match catch_unwind(AssertUnwindSafe(job)) {
-                    Ok(r) => results.push(r),
-                    Err(payload) => {
-                        panics.push(JobPanic { job: i, message: panic_message(&*payload) })
-                    }
-                }
-            }
-            if panics.is_empty() {
-                return Ok(results);
-            }
-            return Err(SweepPanicReport { panics, completed: results.len() });
-        }
         let workers = self.threads.min(n);
         // FnOnce must be moved out to call; parking each job in its own
         // mutex slot lets borrowing worker threads claim them one by one.
@@ -253,7 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn try_run_jobs_reports_panics_as_data_on_both_paths() {
+    fn try_run_jobs_reports_panics_as_data_at_any_width() {
         let mk = || -> Vec<Job<'static, u64>> {
             (0..6u64)
                 .map(|i| {

@@ -36,7 +36,7 @@ use dresar_interconnect::{Bmin, HopNetwork, SwitchId};
 use dresar_obs::{
     MachineShape, NullProbe, ObserverConfig, ObserverSet, Probe, ServicePoint, SwitchLoc,
 };
-use dresar_stats::{BlockHistogram, ReadClass};
+use dresar_stats::ReadClass;
 use dresar_types::addr::AddressMap;
 use dresar_types::config::SystemConfig;
 use dresar_types::msg::{Endpoint, Message, MsgType};
@@ -49,8 +49,6 @@ pub struct RunOptions {
     /// Abort (panic) if simulated time exceeds this bound — catches
     /// protocol livelock in tests instead of hanging.
     pub max_cycles: Cycle,
-    /// Collect the per-block miss histogram (Figure 2 support).
-    pub collect_histogram: bool,
     /// TRANSIENT-read policy for the switch directories.
     pub transient_policy: TransientReadPolicy,
     /// Observers to attach (latency breakdown, trace, flight recorder,
@@ -76,7 +74,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             max_cycles: 1 << 40,
-            collect_histogram: false,
             transient_policy: TransientReadPolicy::Retry,
             observers: ObserverConfig {
                 flight: Some(dresar_obs::DEFAULT_FLIGHT_CAPACITY),
@@ -175,7 +172,6 @@ pub struct System {
     barrier: BarrierState,
     workload: String,
     writebacks: u64,
-    histogram: Option<BlockHistogram>,
     end_time: Cycle,
     faults: Option<FaultSession>,
     watchdog: Option<Watchdog>,
@@ -234,7 +230,6 @@ impl System {
             barrier: BarrierState::default(),
             workload: workload.name.clone(),
             writebacks: 0,
-            histogram: None,
             end_time: 0,
             faults: None,
             watchdog: None,
@@ -327,9 +322,6 @@ impl System {
     /// [`System::run`] generic over the attached [`Probe`]. With
     /// [`NullProbe`] every hook inlines to nothing.
     pub fn run_probed<P: Probe>(mut self, opts: RunOptions, probe: &mut P) -> ExecutionReport {
-        if opts.collect_histogram {
-            self.histogram = Some(BlockHistogram::new());
-        }
         if let Some(policy) = match opts.transient_policy {
             TransientReadPolicy::Retry => None,
             p => Some(p),
@@ -521,7 +513,6 @@ impl System {
             cycles: self.end_time,
             network_hops: self.net.messages_moved(),
             writebacks: self.writebacks,
-            histogram: self.histogram.take(),
             ..Default::default()
         };
         for n in &self.nodes {
@@ -1403,9 +1394,6 @@ impl System {
                     let latency = t.saturating_sub(m.issued_at);
                     node.reads.record(class, latency);
                     probe.read_complete(p, block, class, latency, t, m.txn);
-                    if let Some(h) = self.histogram.as_mut() {
-                        h.record_miss(block, class != ReadClass::CleanMemory);
-                    }
                 }
                 if m.then_write && state == LineState::Exclusive {
                     // The coalesced write completes locally: an EXCLUSIVE
@@ -1941,24 +1929,6 @@ mod tests {
             base.avg_read_latency()
         );
         assert!(with.home_ctoc() < base.home_ctoc());
-    }
-
-    #[test]
-    fn histogram_collection_works() {
-        let w = wl(vec![
-            vec![StreamItem::write(0, 1), StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0), StreamItem::read(0, 1), StreamItem::read(4096, 1)],
-            vec![StreamItem::Barrier(0)],
-            vec![StreamItem::Barrier(0)],
-        ]);
-        let r = System::new(small_cfg(false), &w).run(RunOptions {
-            collect_histogram: true,
-            max_cycles: 10_000_000,
-            ..Default::default()
-        });
-        let h = r.histogram.expect("histogram requested");
-        assert_eq!(h.total_misses(), 2);
-        assert_eq!(h.total_ctocs(), 1);
     }
 
     #[test]

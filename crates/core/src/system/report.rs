@@ -30,9 +30,6 @@ pub struct ExecutionReport {
     pub writebacks: u64,
     /// Total memory references executed.
     pub refs_executed: u64,
-    /// Per-block miss/CtoC histogram (only if requested in
-    /// [`crate::system::RunOptions`]).
-    pub histogram: Option<dresar_stats::BlockHistogram>,
     /// Observer payloads (latency breakdown, trace, heatmap), present
     /// when [`crate::system::RunOptions::observers`] enabled any.
     pub obs: Option<ObsReport>,
@@ -117,8 +114,8 @@ impl ToJson for ExecutionReport {
 }
 
 impl FromJson for ExecutionReport {
-    /// Round-trips the scalar counters and nested stats. The histogram and
-    /// observer payloads are not reconstructed (they serialize for external
+    /// Round-trips the scalar counters and nested stats. The observer
+    /// payloads are not reconstructed (they serialize for external
     /// consumers only) and come back `None`.
     fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
         let reads = v.get("reads").ok_or_else(|| JsonError::new("missing field `reads`"))?;
@@ -137,7 +134,6 @@ impl FromJson for ExecutionReport {
             network_hops: JsonError::want_u64(v, "network_hops")?,
             writebacks: JsonError::want_u64(v, "writebacks")?,
             refs_executed: JsonError::want_u64(v, "refs_executed")?,
-            histogram: None,
             obs: None,
             metrics,
             faults: None,

@@ -14,8 +14,7 @@
 //! persisted under the directory (one content-addressed file per digest),
 //! and a restarted server re-serves those digests byte-identically without
 //! recomputing. `--max-deadline-ms` caps per-request `deadline_ms` values.
-//! `--chaos` (or the `DRESAR_SERVE_CHAOS` environment variable) arms the
-//! seeded fault-injection plan — a test harness, never for production.
+//! `--chaos` arms the seeded fault-injection plan — a test harness, never for production.
 
 use dresar_server::serve::{Server, ServerConfig};
 use dresar_server::ServeFaultPlan;
@@ -23,9 +22,6 @@ use dresar_server::ServeFaultPlan;
 fn main() {
     let mut addr = "127.0.0.1:8757".to_string();
     let mut cfg = ServerConfig::default();
-    if let Ok(spec) = std::env::var("DRESAR_SERVE_CHAOS") {
-        cfg.chaos = Some(parse_chaos(&spec));
-    }
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut take = |name: &str| {

@@ -64,8 +64,6 @@ pub enum ServeError {
     FlightUnavailable,
     /// The server is draining for shutdown.
     ShuttingDown,
-    /// The simulation failed internally (reported, never a crash).
-    Internal(String),
     /// The engine execution panicked. The panic was contained by its
     /// worker (the pool keeps serving); this request reports the failure
     /// structurally, with the digest so operators can reproduce it.
@@ -107,7 +105,6 @@ impl ServeError {
             ServeError::Overloaded { .. } => "overloaded",
             ServeError::FlightUnavailable => "no_flight_dump",
             ServeError::ShuttingDown => "shutting_down",
-            ServeError::Internal(_) => "internal",
             ServeError::JobPanicked { .. } => "internal_panic",
             ServeError::DeadlineExceeded { .. } => "deadline_exceeded",
         }
@@ -121,7 +118,7 @@ impl ServeError {
             ServeError::BodyTooLarge(_) => 413,
             ServeError::Overloaded { .. } => 429,
             ServeError::ShuttingDown | ServeError::DeadlineExceeded { .. } => 503,
-            ServeError::Internal(_) | ServeError::JobPanicked { .. } => 500,
+            ServeError::JobPanicked { .. } => 500,
             _ => 400,
         }
     }
@@ -153,8 +150,7 @@ impl ServeError {
             | ServeError::FaultsUnsupported(d)
             | ServeError::BadRequest(d)
             | ServeError::NotFound(d)
-            | ServeError::MethodNotAllowed(d)
-            | ServeError::Internal(d) => d.clone(),
+            | ServeError::MethodNotAllowed(d) => d.clone(),
             ServeError::TruncatedBody { expected, got } => {
                 format!("body truncated: Content-Length {expected} but only {got} bytes arrived")
             }
@@ -237,7 +233,6 @@ mod tests {
             ServeError::Overloaded { queue_depth: 1 },
             ServeError::FlightUnavailable,
             ServeError::ShuttingDown,
-            ServeError::Internal(String::new()),
             ServeError::JobPanicked { digest: String::new(), message: String::new() },
             ServeError::DeadlineExceeded { deadline_ms: 1, at: "queued" },
         ];

@@ -22,8 +22,9 @@
 //! The HTTP layer ([`http`]) is a hand-rolled HTTP/1.1 subset over
 //! `std::net` — dependency-free, matching the workspace's hand-rolled JSON.
 //! [`client`] is the matching client and load generator; [`error`] defines
-//! the machine-readable error vocabulary; [`run`] maps validated specs onto
-//! the execution-driven and trace-driven simulators.
+//! the machine-readable error vocabulary; [`run`] resolves validated specs
+//! to `dresar_bench` run-plan entries, which the plan's runner executes on
+//! the execution-driven or trace-driven simulator.
 //!
 //! Quickstart (also see `examples/serve_quickstart.rs` and the README):
 //!

@@ -6,20 +6,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Runs one fallible job body under a panic guard, converting an unwind
-/// into [`SubmitError::JobPanicked`]. This is the per-job isolation the
-/// serving layer wraps engine executions in: the worker thread survives,
-/// and the panic becomes a structured error the request path can serve as
-/// an HTTP 500 instead of a dead pool.
-pub fn catch_job_panic<R>(f: impl FnOnce() -> R) -> Result<R, SubmitError> {
-    catch_unwind(AssertUnwindSafe(f))
-        .map_err(|payload| SubmitError::JobPanicked { message: panic_message(&*payload) })
+/// Runs one job body under a panic guard, converting an unwind into the
+/// stringified panic payload. This is the per-job isolation the serving
+/// layer wraps engine executions in: the worker thread survives, and the
+/// panic becomes a structured error the request path can serve as an HTTP
+/// 500 instead of a dead pool.
+pub fn catch_job_panic<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panic_message(&*payload))
 }
 
-/// Why a [`ServicePool`] job could not produce a result: refused at
-/// submission ([`SubmitError::QueueFull`] / [`SubmitError::ShuttingDown`])
-/// or lost to a contained panic during execution
-/// ([`SubmitError::JobPanicked`], produced by [`catch_job_panic`]).
+/// Why [`ServicePool::try_submit`] refused a job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
     /// The bounded admission queue is at capacity: shed the request.
@@ -29,13 +25,6 @@ pub enum SubmitError {
     },
     /// The pool is draining for shutdown and accepts no new work.
     ShuttingDown,
-    /// The job panicked mid-execution. The panic was contained by the
-    /// worker (the pool keeps serving); the payload is preserved so the
-    /// caller can report a structured error instead of a dead connection.
-    JobPanicked {
-        /// The stringified panic payload.
-        message: String,
-    },
 }
 
 /// A persistent, bounded worker pool: the serving counterpart of the
@@ -325,11 +314,11 @@ mod tests {
     }
 
     #[test]
-    fn catch_job_panic_converts_an_unwind_into_a_submit_error() {
+    fn catch_job_panic_converts_an_unwind_into_its_message() {
         assert_eq!(catch_job_panic(|| 7), Ok(7));
         let err = catch_job_panic(|| -> u64 { panic!("engine bug {}", 13) })
             .expect_err("panic becomes data");
-        assert_eq!(err, SubmitError::JobPanicked { message: "engine bug 13".into() });
+        assert_eq!(err, "engine bug 13");
     }
 
     #[test]

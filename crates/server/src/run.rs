@@ -3,7 +3,10 @@
 //! Validation is split from execution on purpose: the server validates
 //! *before* admission (so malformed requests are rejected instantly with a
 //! structured error and never occupy a queue slot or an engine worker), and
-//! executes only specs that are guaranteed to configure cleanly.
+//! executes only specs that are guaranteed to configure cleanly. A valid
+//! spec resolves to a [`dresar_bench::plan::Entry`] on the machine the
+//! figures use for its workload ([`Bench::new`]), and executes through
+//! [`run_entry`], the same function that runs every figure's plan.
 //!
 //! The served body is the existing report document — an
 //! [`dresar::system::ExecutionReport`] for the five scientific workloads
@@ -15,99 +18,59 @@
 //! to a fresh run.
 
 use crate::error::ServeError;
-use dresar::system::{RunOptions, System};
-use dresar::TransientReadPolicy;
-use dresar_faults::{FaultPlan, WatchdogConfig};
-use dresar_trace_sim::TraceSimulator;
-use dresar_types::config::{SwitchDirConfig, SystemConfig, TraceSimConfig};
-use dresar_types::{RunSpec, ToJson, Workload};
-use dresar_workloads::{commercial, scientific, Scale};
+use dresar_bench::plan::{faulted_options, run_entry, Bench, Entry, Machine, Report};
+use dresar_faults::FaultPlan;
+use dresar_types::config::SystemConfig;
+use dresar_types::{Protocol, RunSpec, ToJson};
+use dresar_workloads::{Scale, APPS};
 
-/// Which simulator a workload label runs on (mirrors the machines of
-/// `dresar_bench::plan::suite`, but resolved from a request instead of the
-/// fixed suite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Fft,
-    Tc,
-    Sor,
-    Fwa,
-    Gauss,
-    Tpcc,
-    Tpcd,
-}
-
-impl Kind {
-    fn parse(label: &str) -> Option<Kind> {
-        match label {
-            "FFT" => Some(Kind::Fft),
-            "TC" => Some(Kind::Tc),
-            "SOR" => Some(Kind::Sor),
-            "FWA" => Some(Kind::Fwa),
-            "GAUSS" => Some(Kind::Gauss),
-            "TPC-C" => Some(Kind::Tpcc),
-            "TPC-D" => Some(Kind::Tpcd),
-            _ => None,
-        }
-    }
-
-    fn is_trace_driven(self) -> bool {
-        matches!(self, Kind::Tpcc | Kind::Tpcd)
-    }
-}
-
-/// A spec that passed every admission-time check and is ready to execute.
+/// A spec that passed every admission-time check, resolved to the run-plan
+/// entry that executes it.
 #[derive(Debug, Clone)]
 pub struct ValidatedSpec {
     spec: RunSpec,
-    kind: Kind,
-    scale: Scale,
-    sd: Option<SwitchDirConfig>,
-    faults: Option<FaultPlan>,
+    entry: Entry,
 }
 
 /// Checks everything about a spec that can fail, mapping each failure to
 /// its distinct machine-readable [`ServeError`].
 pub fn validate(spec: &RunSpec) -> Result<ValidatedSpec, ServeError> {
-    let kind = Kind::parse(&spec.workload).ok_or_else(|| {
+    let label = APPS.iter().copied().find(|&app| app == spec.workload).ok_or_else(|| {
         ServeError::BadWorkload(format!(
-            "unknown workload '{}'; expected FFT|TC|SOR|FWA|GAUSS|TPC-C|TPC-D",
-            spec.workload
+            "unknown workload '{}'; expected {}",
+            spec.workload,
+            APPS.join("|")
         ))
     })?;
     let scale = Scale::parse(&spec.scale).ok_or_else(|| {
         ServeError::BadScale(format!("unknown scale '{}'; expected tiny|reduced|paper", spec.scale))
     })?;
-    let sd = spec
-        .sd_entries
-        .map(|entries| {
-            let sd = SwitchDirConfig { entries, ..SwitchDirConfig::paper_default() };
-            sd.validate().map_err(ServeError::BadSdSize).map(|()| sd)
-        })
-        .transpose()?;
+    let bench = Bench::new(label, spec.nodes as usize, scale, spec.seed);
+    let machine = bench.machine.with_sd(spec.sd_entries);
+    if let Some(sd) = machine.switch_dir() {
+        sd.validate().map_err(ServeError::BadSdSize)?;
+    }
+    let machine = match machine {
+        Machine::Execution(cfg) => {
+            Machine::Execution(SystemConfig { protocol: spec.protocol.unwrap_or_default(), ..cfg })
+        }
+        _ => {
+            if let Some(p) = spec.protocol.filter(|&p| p != Protocol::Msi) {
+                return Err(ServeError::BadField(format!(
+                    "workload '{}' is trace-driven (constant-latency model, MSI only; \
+                     protocol '{p}' needs the execution-driven simulator)",
+                    spec.workload
+                )));
+            }
+            machine
+        }
+    };
     // The full config check (node count vs switch radix, cache geometry)
     // runs against the simulator the workload will actually use.
-    if kind.is_trace_driven() {
-        if let Some(p) = spec.protocol.filter(|&p| p != dresar_types::Protocol::Msi) {
-            return Err(ServeError::BadField(format!(
-                "workload '{}' is trace-driven (constant-latency model, MSI only; \
-                 protocol '{p}' needs the execution-driven simulator)",
-                spec.workload
-            )));
-        }
-        let mut cfg = TraceSimConfig::paper_table3();
-        cfg.nodes = spec.nodes as usize;
-        cfg.switch_dir = sd;
-        cfg.validate().map_err(ServeError::BadTopology)?;
-    } else {
-        let mut cfg = SystemConfig::paper_table2();
-        cfg.nodes = spec.nodes as usize;
-        cfg.switch_dir = sd;
-        cfg.validate().map_err(ServeError::BadTopology)?;
-    }
+    machine.validate().map_err(ServeError::BadTopology)?;
     let faults = match &spec.faults {
         None => None,
-        Some(plan) if kind.is_trace_driven() => {
+        Some(plan) if !bench.is_execution() => {
             return Err(ServeError::FaultsUnsupported(format!(
                 "workload '{}' is trace-driven (constant-latency model, no message system to \
                  inject '{plan}' into)",
@@ -119,7 +82,15 @@ pub fn validate(spec: &RunSpec) -> Result<ValidatedSpec, ServeError> {
                 .map_err(|e| ServeError::BadFaults(format!("bad fault plan '{plan}': {e}")))?,
         ),
     };
-    Ok(ValidatedSpec { spec: spec.clone(), kind, scale, sd, faults })
+    let entry = Entry {
+        name: spec.digest_hex(),
+        label,
+        machine,
+        workload: bench.workload,
+        options: faults.map_or_else(Default::default, faulted_options),
+        checked: false,
+    };
+    Ok(ValidatedSpec { spec: spec.clone(), entry })
 }
 
 impl ValidatedSpec {
@@ -128,67 +99,35 @@ impl ValidatedSpec {
         &self.spec
     }
 
-    /// Generates the workload streams for this request. Scientific kernels
-    /// are pure functions of (processors, scale); commercial traces also
-    /// fold in the request seed, exactly like the bench suite.
-    fn workload(&self) -> Workload {
-        let p = self.spec.nodes as usize;
-        match self.kind {
-            Kind::Fft => scientific::fft(p, self.scale.fft_points()),
-            Kind::Tc => scientific::tc(p, self.scale.matrix_n()),
-            Kind::Sor => scientific::sor(p, self.scale.grid_n(), self.scale.sor_iters()),
-            Kind::Fwa => scientific::fwa(p, self.scale.matrix_n()),
-            Kind::Gauss => scientific::gauss(p, self.scale.matrix_n()),
-            Kind::Tpcc => commercial::tpcc(p, self.scale.commercial_refs(), self.spec.seed),
-            Kind::Tpcd => {
-                commercial::tpcd(p, self.scale.commercial_refs(), self.spec.seed ^ 0x9e37_79b9)
-            }
-        }
-    }
-
     /// Runs the simulation and serializes the complete response body
     /// (trailing newline included). Deterministic: equal specs produce
     /// byte-identical bodies.
     pub fn execute(&self) -> Result<String, ServeError> {
-        self.execute_full(false).map(|out| out.body)
+        Ok(self.execute_full(false).body)
     }
 
     /// [`ValidatedSpec::execute`] plus the observability side channels:
     /// the flight-recorder dump when the run was anomalous, and — when
     /// `traced` — the simulator's Chrome-trace document, pulled out of the
     /// report so the body itself stays identical to an untraced run.
-    pub fn execute_full(&self, traced: bool) -> Result<ExecOutput, ServeError> {
-        let workload = self.workload();
+    pub fn execute_full(&self, traced: bool) -> ExecOutput {
+        let mut entry = self.entry.clone();
+        entry.options.observers.trace = traced;
         let mut flight = None;
         let mut trace = None;
-        let (driver, report_json) = if self.kind.is_trace_driven() {
-            let mut cfg = TraceSimConfig::paper_table3();
-            cfg.nodes = self.spec.nodes as usize;
-            cfg.switch_dir = self.sd;
-            let report = TraceSimulator::new(cfg).run(&workload);
-            ("trace", report.to_json())
-        } else {
-            let mut cfg = SystemConfig::paper_table2();
-            cfg.nodes = self.spec.nodes as usize;
-            cfg.switch_dir = self.sd;
-            cfg.protocol = self.spec.protocol.unwrap_or_default();
-            let mut options = RunOptions {
-                transient_policy: TransientReadPolicy::Retry,
-                faults: self.faults,
-                watchdog: self.faults.as_ref().map(|_| WatchdogConfig::default()),
-                verify_coherence: self.faults.is_some(),
-                ..RunOptions::default()
-            };
-            options.observers.trace = traced;
-            let mut report = System::new(cfg, &workload).run(options);
-            if let Some(obs) = report.obs.as_mut() {
-                flight = obs.flight.as_ref().map(|f| f.to_json().dump());
-                trace = obs.trace.take();
-                if obs.is_empty() {
-                    report.obs = None;
+        let (driver, report_json) = match run_entry(entry).report {
+            Report::Execution(mut report) => {
+                if let Some(obs) = report.obs.as_mut() {
+                    flight = obs.flight.as_ref().map(|f| f.to_json().dump());
+                    trace = obs.trace.take();
+                    if obs.is_empty() {
+                        report.obs = None;
+                    }
                 }
+                ("execution", report.to_json())
             }
-            ("execution", report.to_json())
+            Report::Trace(report) => ("trace", report.to_json()),
+            Report::Crossbar(_) => unreachable!("served specs run applications"),
         };
         let mut body = dresar_bench::json_doc("dresar-serve")
             .field("digest", self.spec.digest_hex().as_str())
@@ -198,7 +137,7 @@ impl ValidatedSpec {
             .build()
             .dump();
         body.push('\n');
-        Ok(ExecOutput { body, flight, trace })
+        ExecOutput { body, flight, trace }
     }
 }
 
@@ -223,8 +162,9 @@ mod tests {
     #[test]
     fn default_spec_validates() {
         let v = validate(&RunSpec::default()).expect("default spec is servable");
-        assert_eq!(v.kind, Kind::Fft);
-        assert_eq!(v.scale, Scale::Tiny);
+        assert_eq!(v.entry.label, "FFT");
+        assert!(matches!(v.entry.machine, Machine::Execution(c) if c.nodes == 16));
+        assert_eq!(v.entry.machine.sd_entries(), Some(1024));
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub struct ServerConfig {
     pub max_deadline: Duration,
     /// Seeded serve-tier fault injection; `None` (the default) injects
     /// nothing. Test/CI-only — the binary arms it behind an explicit
-    /// `--chaos` flag or `DRESAR_SERVE_CHAOS` env var.
+    /// `--chaos` flag.
     pub chaos: Option<ServeFaultPlan>,
 }
 
@@ -674,76 +674,91 @@ fn attach_or_lead(
     let peak = inflight.len() as u64;
     shared.metrics.inflight_peak.fetch_max(peak, Ordering::Relaxed);
 
+    let publish = Arc::clone(&flight);
+    let done = move |shared: &Shared, result: Result<Executed, ServeError>| {
+        let result = result.map(|(out, queue_us, exec_us)| RunOutcome {
+            body: Arc::new(out.body),
+            queue_us,
+            exec_us,
+        });
+        if let Ok(outcome) = &result {
+            lock_recover(&shared.cache).insert(digest, Arc::clone(&outcome.body));
+            store_save(shared, digest, &outcome.body);
+        }
+        // Unregister before publishing: a request arriving after this
+        // point must hit the cache (or start a fresh run), never attach
+        // to a completed flight.
+        lock_recover(&shared.inflight).remove(&digest);
+        publish.publish(result);
+    };
+    if let Err(err) = submit(shared, validated, digest_hex, false, deadline, deadline_ms, done) {
+        inflight.remove(&digest);
+        // Any follower that attached before this lock was taken gets the
+        // same structured error instead of waiting forever.
+        flight.publish(Err(err.clone()));
+        return Err(err);
+    }
+    Ok(flight)
+}
+
+/// An execution's output with its queue wait and run time (microseconds).
+type Executed = (ExecOutput, u64, u64);
+
+/// Submits one execution of `validated` to the bounded pool; `done`
+/// receives its result on the worker. This is the one execution job, for
+/// shared and traced runs alike. A job whose deadline expired while it sat
+/// queued is answered 503 without burning a worker on a result nobody is
+/// waiting for. An engine panic (or an injected chaos panic) is contained
+/// here and converted to a structured 500 — the worker and the pool
+/// survive. A refused submission comes back as the error to serve.
+fn submit(
+    shared: &Arc<Shared>,
+    validated: ValidatedSpec,
+    digest_hex: String,
+    traced: bool,
+    deadline: Instant,
+    deadline_ms: u64,
+    done: impl FnOnce(&Shared, Result<Executed, ServeError>) + Send + 'static,
+) -> Result<(), ServeError> {
     let job = {
         let shared = Arc::clone(shared);
-        let flight = Arc::clone(&flight);
-        let digest_hex = digest_hex.clone();
         let submitted = Instant::now();
         Box::new(move || {
-            // Dequeue-time deadline check: a job whose leader's deadline
-            // expired while it sat queued is answered 503 without burning
-            // a worker on a result nobody is waiting for.
             if Instant::now() >= deadline {
                 shared.metrics.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                lock_recover(&shared.inflight).remove(&digest);
-                flight.publish(Err(ServeError::DeadlineExceeded { deadline_ms, at: "queued" }));
+                done(&shared, Err(ServeError::DeadlineExceeded { deadline_ms, at: "queued" }));
                 return;
             }
             let queue_us = us(submitted.elapsed());
             shared.metrics.executions.fetch_add(1, Ordering::Relaxed);
             let t_exec = Instant::now();
-            // Panic isolation: an engine panic (or an injected chaos
-            // panic) is contained here, converted to a structured 500
-            // published to every waiter — the worker and the pool survive.
-            let result = match catch_job_panic(|| {
-                if let Some(chaos) = &shared.chaos {
-                    if chaos.before_exec() {
-                        panic!("chaos: injected worker panic");
-                    }
+            let result = catch_job_panic(|| {
+                if shared.chaos.as_ref().is_some_and(ServeChaos::before_exec) {
+                    panic!("chaos: injected worker panic");
                 }
-                validated.execute_full(false)
-            }) {
-                Ok(executed) => executed,
-                Err(SubmitError::JobPanicked { message }) => {
-                    shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    Err(ServeError::JobPanicked { digest: digest_hex.clone(), message })
-                }
-                Err(other) => Err(ServeError::Internal(format!("job guard: {other:?}"))),
-            };
-            let exec_us = us(t_exec.elapsed());
-            let result = result.map(|out| {
-                deposit_flight(&shared, out.flight.as_deref());
-                RunOutcome { body: Arc::new(out.body), queue_us, exec_us }
+                validated.execute_full(traced)
             });
-            if let Ok(outcome) = &result {
-                lock_recover(&shared.cache).insert(digest, Arc::clone(&outcome.body));
-                store_save(&shared, digest, &outcome.body);
-            }
-            // Unregister before publishing: a request arriving after this
-            // point must hit the cache (or start a fresh run), never attach
-            // to a completed flight.
-            lock_recover(&shared.inflight).remove(&digest);
-            flight.publish(result);
+            let exec_us = us(t_exec.elapsed());
+            let result = match result {
+                Ok(out) => {
+                    deposit_flight(&shared, out.flight.as_deref());
+                    Ok((out, queue_us, exec_us))
+                }
+                Err(message) => {
+                    shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+                    Err(ServeError::JobPanicked { digest: digest_hex, message })
+                }
+            };
+            done(&shared, result);
         })
     };
-    match shared.pool.try_submit(job) {
-        Ok(()) => Ok(flight),
-        Err(submit_err) => {
-            inflight.remove(&digest);
-            let err = match submit_err {
-                SubmitError::QueueFull { queue_depth } => ServeError::Overloaded { queue_depth },
-                SubmitError::ShuttingDown => ServeError::ShuttingDown,
-                SubmitError::JobPanicked { message } => {
-                    ServeError::JobPanicked { digest: digest_hex.clone(), message }
-                }
-            };
-            shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
-            // Any follower that attached before this lock was taken gets
-            // the same structured error instead of waiting forever.
-            flight.publish(Err(err.clone()));
-            Err(err)
+    shared.pool.try_submit(job).map_err(|refused| {
+        shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
+        match refused {
+            SubmitError::QueueFull { queue_depth } => ServeError::Overloaded { queue_depth },
+            SubmitError::ShuttingDown => ServeError::ShuttingDown,
         }
-    }
+    })
 }
 
 /// The traced `/run` pipeline (`X-Dresar-Trace` header). Admission runs
@@ -769,44 +784,12 @@ fn serve_run_traced(body: &str, trace_id: &str, shared: &Arc<Shared>) -> Result<
     let cache_end = us(t0.elapsed());
 
     // Real queue wait: the instrumented run goes through the same bounded
-    // admission as every other execution.
-    let flight: Arc<Flight<(ExecOutput, u64, u64)>> = Arc::default();
+    // admission, deadline check and panic guard as every other execution.
+    let flight: Arc<Flight<Executed>> = Arc::default();
     let submit_off = us(t0.elapsed());
-    let job = {
-        let shared = Arc::clone(shared);
-        let flight = Arc::clone(&flight);
-        let submitted = Instant::now();
-        let digest_hex = digest_hex.clone();
-        Box::new(move || {
-            let queue_us = us(submitted.elapsed());
-            shared.metrics.executions.fetch_add(1, Ordering::Relaxed);
-            let t_exec = Instant::now();
-            let result = match catch_job_panic(|| validated.execute_full(true)) {
-                Ok(executed) => executed,
-                Err(SubmitError::JobPanicked { message }) => {
-                    shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    Err(ServeError::JobPanicked { digest: digest_hex, message })
-                }
-                Err(other) => Err(ServeError::Internal(format!("job guard: {other:?}"))),
-            };
-            let exec_us = us(t_exec.elapsed());
-            let result = result.map(|out| {
-                deposit_flight(&shared, out.flight.as_deref());
-                (out, queue_us, exec_us)
-            });
-            flight.publish(result);
-        })
-    };
-    if let Err(submit_err) = shared.pool.try_submit(job) {
-        shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
-        return Err(match submit_err {
-            SubmitError::QueueFull { queue_depth } => ServeError::Overloaded { queue_depth },
-            SubmitError::ShuttingDown => ServeError::ShuttingDown,
-            SubmitError::JobPanicked { message } => {
-                ServeError::JobPanicked { digest: digest_hex.clone(), message }
-            }
-        });
-    }
+    let publish = Arc::clone(&flight);
+    let done = move |_: &Shared, result| publish.publish(result);
+    submit(shared, validated, digest_hex.clone(), true, deadline, deadline_ms, done)?;
     let (out, queue_us, exec_us) = flight.wait(deadline, deadline_ms)?;
 
     let ser_off = us(t0.elapsed());

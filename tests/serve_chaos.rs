@@ -10,8 +10,8 @@
 //!   digests from disk (`X-Dresar-Cache: disk`) without re-executing;
 //! - a corrupted store entry is quarantined (never served) and the result
 //!   transparently recomputed;
-//! - a request whose deadline expires while queued is answered 503
-//!   without burning a worker on it;
+//! - a request whose deadline expires while queued, traced or not, is
+//!   answered 503 without burning a worker on it;
 //! - the client retry policy absorbs shed replies;
 //! - chaos outcomes are deterministic per seed (the CI leg pins two).
 //!
@@ -19,7 +19,7 @@
 //! asserts exact counters and byte-identical bodies, not "eventually ok".
 
 use dresar_obs::{MetricValue, MetricsRegistry};
-use dresar_server::client::{post_run, post_run_retry, RetryPolicy};
+use dresar_server::client::{http_request_with, post_run, post_run_retry, RetryPolicy};
 use dresar_server::serve::{Server, ServerConfig};
 use dresar_server::ServeFaultPlan;
 use dresar_types::JsonValue;
@@ -212,6 +212,17 @@ fn corrupted_store_entry_is_quarantined_and_transparently_recomputed() {
 
 #[test]
 fn deadline_expired_in_queue_is_answered_without_burning_a_worker() {
+    stale_job_is_dropped_at_dequeue(&[]);
+}
+
+#[test]
+fn traced_deadline_expired_in_queue_is_answered_without_burning_a_worker() {
+    // Traced runs go through the same execution job, so they get the same
+    // dequeue-time deadline check.
+    stale_job_is_dropped_at_dequeue(&[("X-Dresar-Trace", "stale-001")]);
+}
+
+fn stale_job_is_dropped_at_dequeue(headers: &[(&str, &str)]) {
     // Paused workers: the request can only sit in the queue, so its 50ms
     // deadline is guaranteed to lapse before anything executes.
     let cfg = ServerConfig { workers: 1, start_paused: true, ..Default::default() };
@@ -220,7 +231,7 @@ fn deadline_expired_in_queue_is_answered_without_burning_a_worker() {
 
     let spec = r#"{"workload":"FFT","scale":"tiny","nodes":16,"sd_entries":256,"seed":7,
                    "deadline_ms":50}"#;
-    let resp = post_run(&addr, spec).unwrap();
+    let resp = http_request_with(&addr, "POST", "/run", headers, spec).unwrap();
     assert_eq!(resp.status, 503, "expired deadline must be a 503: {}", resp.body);
     assert_eq!(error_code(&resp.body), "deadline_exceeded");
     assert_eq!(resp.header("retry-after"), Some("1"), "deadline replies advertise Retry-After");
