@@ -17,7 +17,6 @@
 //! available core); `DRESAR_SWEEP_THREADS=1` forces serial execution (one
 //! worker), which CI uses on one leg of the identity check.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -59,26 +58,10 @@ impl SweepRunner {
     /// Executes `jobs`, returning the `i`-th job's result at index `i`.
     ///
     /// # Panics
-    /// If any job panics, panics once — after every worker has stopped —
-    /// with a structured message naming the panicked jobs and how many
-    /// results were produced, instead of the historical double panic (a
-    /// poisoned worker join aborting mid-unwind). Callers that want the
-    /// panics as data use [`SweepRunner::try_run_jobs`].
+    /// If a job panics, its worker stops and the other workers run the
+    /// remaining jobs; once every worker has been joined, the first failed
+    /// worker's panic is re-raised with the job's own payload, once.
     pub fn run_jobs<'a, R: Send>(&self, jobs: Vec<Job<'a, R>>) -> Vec<R> {
-        match self.try_run_jobs(jobs) {
-            Ok(results) => results,
-            Err(report) => panic!("{report}"),
-        }
-    }
-
-    /// [`SweepRunner::run_jobs`], but job panics come back as data: every
-    /// panicking job is caught on its worker (the worker then continues
-    /// with the next job), and the error lists each panicked job's index
-    /// and payload plus how many completed results were discarded.
-    pub fn try_run_jobs<'a, R: Send>(
-        &self,
-        jobs: Vec<Job<'a, R>>,
-    ) -> Result<Vec<R>, SweepPanicReport> {
         let n = jobs.len();
         let workers = self.threads.min(n);
         // FnOnce must be moved out to call; parking each job in its own
@@ -87,7 +70,7 @@ impl SweepRunner {
             jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
         let cursor = AtomicUsize::new(0);
         let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let mut panics: Vec<JobPanic> = Vec::new();
+        let mut first_panic = None;
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
@@ -95,98 +78,42 @@ impl SweepRunner {
                     let cursor = &cursor;
                     s.spawn(move || {
                         let mut done = Vec::new();
-                        let mut failed = Vec::new();
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             if i >= n {
-                                return (done, failed);
+                                return done;
                             }
                             let job = slots[i]
                                 .lock()
                                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                                 .take()
                                 .expect("sweep job claimed twice");
-                            // A panicking job is contained here: the worker
-                            // records it and moves on to the next slot, so
-                            // one bad job never strands the rest of the
-                            // batch or poisons the join below.
-                            match catch_unwind(AssertUnwindSafe(job)) {
-                                Ok(r) => done.push((i, r)),
-                                Err(payload) => failed
-                                    .push(JobPanic { job: i, message: panic_message(&*payload) }),
-                            }
+                            done.push((i, job()));
                         }
                     })
                 })
                 .collect();
+            // Joining every handle here keeps the scope from re-panicking
+            // on an unjoined failed worker; the payload is re-raised below.
             for h in handles {
-                // Workers can no longer die from a job panic; an Err here
-                // means the thread was killed some other way (e.g. abort).
-                // Record it instead of double-panicking mid-drain.
                 match h.join() {
-                    Ok((done, failed)) => {
+                    Ok(done) => {
                         for (i, r) in done {
                             results[i] = Some(r);
                         }
-                        panics.extend(failed);
                     }
                     Err(payload) => {
-                        panics.push(JobPanic { job: usize::MAX, message: panic_message(&*payload) })
+                        first_panic.get_or_insert(payload);
                     }
                 }
             }
         });
-        if panics.is_empty() {
-            return Ok(results
-                .into_iter()
-                .map(|r| r.expect("sweep job produced no result"))
-                .collect());
+        if let Some(payload) = first_panic {
+            std::panic::resume_unwind(payload);
         }
-        panics.sort_by_key(|p| p.job);
-        let completed = results.iter().filter(|r| r.is_some()).count();
-        Err(SweepPanicReport { panics, completed })
+        results.into_iter().map(|r| r.expect("sweep job produced no result")).collect()
     }
 }
-
-/// One job that panicked inside [`SweepRunner::try_run_jobs`].
-#[derive(Debug, Clone)]
-pub struct JobPanic {
-    /// Submission index of the panicked job (`usize::MAX` when a worker
-    /// thread itself died outside any job — only possible via abort).
-    pub job: usize,
-    /// The panic payload, stringified.
-    pub message: String,
-}
-
-/// Structured account of a sweep batch that lost jobs to panics.
-#[derive(Debug, Clone)]
-pub struct SweepPanicReport {
-    /// Every panicked job, sorted by submission index.
-    pub panics: Vec<JobPanic>,
-    /// How many jobs completed and produced a (discarded) result.
-    pub completed: usize,
-}
-
-impl std::fmt::Display for SweepPanicReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} sweep job(s) panicked ({} completed results discarded):",
-            self.panics.len(),
-            self.completed
-        )?;
-        for p in &self.panics {
-            if p.job == usize::MAX {
-                write!(f, " [worker died: {}]", p.message)?;
-            } else {
-                write!(f, " [job {}: {}]", p.job, p.message)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for SweepPanicReport {}
 
 /// Stringifies a caught panic payload (the `&str`/`String` forms `panic!`
 /// produces; anything else becomes an opaque marker).
@@ -237,41 +164,27 @@ mod tests {
     }
 
     #[test]
-    fn try_run_jobs_reports_panics_as_data_at_any_width() {
-        let mk = || -> Vec<Job<'static, u64>> {
-            (0..6u64)
+    fn a_job_panic_reaches_the_caller_with_its_own_payload_after_the_rest_ran() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::AtomicU64;
+        // A serial runner's one worker stops at the panic; with a second
+        // worker, every other job still runs before the batch fails.
+        for (runner, others) in [(SweepRunner::serial(), 1), (SweepRunner::with_threads(2), 5)] {
+            let ran = AtomicU64::new(0);
+            let jobs: Vec<Job<'_, ()>> = (0..6u64)
                 .map(|i| {
-                    let b: Job<'static, u64> = Box::new(move || {
-                        assert!(i != 2 && i != 4, "job {i} exploded");
-                        i
+                    let ran = &ran;
+                    let b: Job<'_, ()> = Box::new(move || {
+                        assert!(i != 1, "job {i} exploded");
+                        ran.fetch_add(1, Ordering::Relaxed);
                     });
                     b
                 })
-                .collect()
-        };
-        for runner in [SweepRunner::serial(), SweepRunner::with_threads(3)] {
-            let report = runner.try_run_jobs(mk()).expect_err("two jobs panic");
-            assert_eq!(report.panics.len(), 2);
-            assert_eq!(report.panics[0].job, 2);
-            assert_eq!(report.panics[1].job, 4);
-            assert_eq!(report.completed, 4);
-            assert!(report.panics[0].message.contains("job 2 exploded"));
-            let shown = report.to_string();
-            assert!(shown.contains("2 sweep job(s) panicked"), "got: {shown}");
-            assert!(shown.contains("[job 4:"), "got: {shown}");
+                .collect();
+            let err = catch_unwind(AssertUnwindSafe(|| runner.run_jobs(jobs)))
+                .expect_err("a panicking job fails the batch");
+            assert_eq!(panic_message(&*err), "job 1 exploded");
+            assert_eq!(ran.load(Ordering::Relaxed), others);
         }
-    }
-
-    #[test]
-    fn run_jobs_panics_once_with_the_structured_report() {
-        let jobs: Vec<Job<'static, ()>> =
-            vec![Box::new(|| {}), Box::new(|| panic!("boom")), Box::new(|| {})];
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            SweepRunner::with_threads(2).run_jobs(jobs);
-        }))
-        .expect_err("a panicking job fails the batch");
-        let msg = panic_message(&*err);
-        assert!(msg.contains("1 sweep job(s) panicked"), "got: {msg}");
-        assert!(msg.contains("[job 1: boom]"), "got: {msg}");
     }
 }

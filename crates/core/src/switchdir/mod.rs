@@ -23,7 +23,7 @@ pub mod ports;
 use dresar_obs::{NullProbe, Probe, SdProbeEvent, SwitchLoc};
 use dresar_types::config::SwitchDirConfig;
 use dresar_types::msg::{Message, MsgType};
-use dresar_types::{BlockAddr, Cycle, FromJson, JsonError, JsonValue, NodeId, ToJson};
+use dresar_types::{BlockAddr, Cycle, JsonValue, NodeId, ToJson};
 
 pub use array::{SdEntryView, SdState};
 pub use ports::PortScheduler;
@@ -167,29 +167,6 @@ impl ToJson for SdStats {
             .field("peak_occupancy", self.peak_occupancy)
             .field("peak_transients", self.peak_transients)
             .build()
-    }
-}
-
-impl FromJson for SdStats {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        Ok(SdStats {
-            inserts: JsonError::want_u64(v, "inserts")?,
-            inserts_blocked: JsonError::want_u64(v, "inserts_blocked")?,
-            // Tolerant: documents written before the counter existed.
-            pending_refused: v.get("pending_refused").and_then(JsonValue::as_u64).unwrap_or(0),
-            read_hits: JsonError::want_u64(v, "read_hits")?,
-            transient_retries: JsonError::want_u64(v, "transient_retries")?,
-            readers_accumulated: JsonError::want_u64(v, "readers_accumulated")?,
-            invalidations: JsonError::want_u64(v, "invalidations")?,
-            write_retries: JsonError::want_u64(v, "write_retries")?,
-            copybacks_marked: JsonError::want_u64(v, "copybacks_marked")?,
-            writeback_replies: JsonError::want_u64(v, "writeback_replies")?,
-            snoops: JsonError::want_u64(v, "snoops")?,
-            evictions: JsonError::want_u64(v, "evictions")?,
-            evictions_transient: JsonError::want_u64(v, "evictions_transient")?,
-            peak_occupancy: JsonError::want_u64(v, "peak_occupancy")?,
-            peak_transients: JsonError::want_u64(v, "peak_transients")?,
-        })
     }
 }
 

@@ -40,7 +40,7 @@ use dresar_stats::ReadClass;
 use dresar_types::addr::AddressMap;
 use dresar_types::config::SystemConfig;
 use dresar_types::msg::{Endpoint, Message, MsgType};
-use dresar_types::{BlockAddr, Cycle, NodeId, RefKind, SharerSet, StreamItem, Workload};
+use dresar_types::{BlockAddr, Cycle, NodeId, RefKind, StreamItem, Workload};
 use std::rc::Rc;
 
 /// Options for one run.
@@ -1708,15 +1708,6 @@ impl System {
     /// The address map in use.
     pub fn address_map(&self) -> AddressMap {
         self.map
-    }
-
-    /// Sharer set recorded at the home for a block (tests).
-    pub fn home_sharers(&self, block: BlockAddr) -> Option<SharerSet> {
-        let h = self.map.home_of_block(block);
-        match self.homes[h as usize].state(block) {
-            dresar_directory::DirState::Shared(s) => Some(s),
-            _ => None,
-        }
     }
 }
 

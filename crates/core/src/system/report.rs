@@ -4,7 +4,7 @@ use dresar_directory::DirStats;
 use dresar_faults::{FaultStats, WatchdogReport};
 use dresar_obs::{MetricsRegistry, ObsReport};
 use dresar_stats::ReadStats;
-use dresar_types::{Cycle, FromJson, JsonError, JsonValue, ToJson};
+use dresar_types::{Cycle, JsonValue, ToJson};
 
 use crate::switchdir::SdStats;
 use crate::system::CoherenceOutcome;
@@ -57,11 +57,6 @@ impl ExecutionReport {
         self.reads.ctoc_home
     }
 
-    /// Switch-directory-served cache-to-cache transfers.
-    pub fn switch_ctoc(&self) -> u64 {
-        self.reads.ctoc_switch
-    }
-
     /// Average read-miss latency in cycles (Figure 9).
     pub fn avg_read_latency(&self) -> f64 {
         self.reads.avg_latency()
@@ -110,41 +105,5 @@ impl ToJson for ExecutionReport {
             b = b.field("sim_errors", self.sim_errors.clone());
         }
         b.build()
-    }
-}
-
-impl FromJson for ExecutionReport {
-    /// Round-trips the scalar counters and nested stats. The observer
-    /// payloads are not reconstructed (they serialize for external
-    /// consumers only) and come back `None`.
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let reads = v.get("reads").ok_or_else(|| JsonError::new("missing field `reads`"))?;
-        let dir = v.get("dir").ok_or_else(|| JsonError::new("missing field `dir`"))?;
-        let sd = v.get("sd").ok_or_else(|| JsonError::new("missing field `sd`"))?;
-        let metrics = match v.get("metrics") {
-            Some(m) => MetricsRegistry::from_json(m)?,
-            None => MetricsRegistry::default(),
-        };
-        Ok(ExecutionReport {
-            workload: JsonError::want_str(v, "workload")?,
-            cycles: JsonError::want_u64(v, "cycles")?,
-            reads: ReadStats::from_json(reads)?,
-            dir: DirStats::from_json(dir)?,
-            sd: SdStats::from_json(sd)?,
-            network_hops: JsonError::want_u64(v, "network_hops")?,
-            writebacks: JsonError::want_u64(v, "writebacks")?,
-            refs_executed: JsonError::want_u64(v, "refs_executed")?,
-            obs: None,
-            metrics,
-            faults: None,
-            watchdog: None,
-            coherence: None,
-            sim_errors: match v.get("sim_errors") {
-                Some(JsonValue::Arr(items)) => {
-                    items.iter().filter_map(|e| e.as_str().map(str::to_string)).collect()
-                }
-                _ => Vec::new(),
-            },
-        })
     }
 }

@@ -15,10 +15,8 @@
 
 use dresar_obs::{DirStateKind, HomeReq, HomeTransition, Probe};
 use dresar_types::{
-    BlockAddr, Cycle, FastMap, FromJson, JsonError, JsonValue, NodeId, Protocol, SharerSet, ToJson,
-    MAX_NODES,
+    BlockAddr, Cycle, FastMap, JsonValue, NodeId, Protocol, SharerSet, ToJson, MAX_NODES,
 };
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 fn kind_of(state: &DirState) -> DirStateKind {
@@ -223,24 +221,6 @@ impl ToJson for DirStats {
             .field("peak_busy", self.peak_busy)
             .field("peak_pending", self.peak_pending)
             .build()
-    }
-}
-
-impl FromJson for DirStats {
-    fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        Ok(DirStats {
-            reads_clean: JsonError::want_u64(v, "reads_clean")?,
-            reads_ctoc: JsonError::want_u64(v, "reads_ctoc")?,
-            writes_ctoc: JsonError::want_u64(v, "writes_ctoc")?,
-            inval_rounds: JsonError::want_u64(v, "inval_rounds")?,
-            invals_sent: JsonError::want_u64(v, "invals_sent")?,
-            naks: JsonError::want_u64(v, "naks")?,
-            queued: JsonError::want_u64(v, "queued")?,
-            marked_completions: JsonError::want_u64(v, "marked_completions")?,
-            lookups: JsonError::want_u64(v, "lookups")?,
-            peak_busy: JsonError::want_u64(v, "peak_busy")?,
-            peak_pending: JsonError::want_u64(v, "peak_pending")?,
-        })
     }
 }
 
@@ -1010,27 +990,6 @@ impl HomeDirectory {
     /// Number of block entries currently tracked (diagnostic).
     pub fn tracked_blocks(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// Test/debug helper: force a block's stable state.
-    pub fn force_state(&mut self, block: BlockAddr, state: DirState) {
-        let before = self.occupancy_of(block);
-        self.force_state_impl(block, state);
-        self.track_occupancy(block, before);
-    }
-
-    fn force_state_impl(&mut self, block: BlockAddr, state: DirState) {
-        match self.blocks.entry(block) {
-            Entry::Occupied(mut e) => {
-                let e = e.get_mut();
-                e.state = state;
-                e.busy = None;
-                e.pending.clear();
-            }
-            Entry::Vacant(v) => {
-                v.insert(BlockEntry { state, busy: None, pending: VecDeque::new(), seq: 0 });
-            }
-        }
     }
 }
 

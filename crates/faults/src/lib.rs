@@ -126,17 +126,27 @@ impl FaultPlan {
                     .parse::<u64>()
                     .map_err(|_| format!("fault spec {key}='{value}': not a number"))
             };
+            let small = || -> Result<u32, String> {
+                u32::try_from(num()?)
+                    .map_err(|_| format!("fault spec {key}='{value}': exceeds {}", u32::MAX))
+            };
+            let ppm = || -> Result<u32, String> {
+                u32::try_from(num()?)
+                    .ok()
+                    .filter(|&p| p <= 1_000_000)
+                    .ok_or_else(|| format!("fault spec {key}='{value}': exceeds 1000000 ppm"))
+            };
             match key {
                 "seed" => plan.seed = num()?,
-                "drop_ppm" => plan.drop_ppm = num()? as u32,
-                "max_retries" => plan.max_retries = num()? as u32,
-                "backoff" => plan.backoff_base = num()? as u32,
+                "drop_ppm" => plan.drop_ppm = ppm()?,
+                "max_retries" => plan.max_retries = small()?,
+                "backoff" => plan.backoff_base = small()?,
                 "scrub_period" => plan.scrub_period = num()?,
                 "storm_at" => plan.storm_at = num()?,
-                "storm_evictions" => plan.storm_evictions = num()? as u32,
+                "storm_evictions" => plan.storm_evictions = small()?,
                 "disable_at" => plan.disable_at = num()?,
                 "enable_at" => plan.enable_at = num()?,
-                "lose_nth" => plan.lose_nth = (num()?).max(1) as u32,
+                "lose_nth" => plan.lose_nth = small()?.max(1),
                 "lose_kind" => {
                     plan.lose_kind = Some(MsgType::parse(value).ok_or_else(|| {
                         format!("fault spec lose_kind='{value}': unknown message type")
@@ -683,6 +693,13 @@ mod tests {
         assert!(FaultPlan::parse("seed=abc").is_err());
         assert!(FaultPlan::parse("lose_kind=NotAMessage").is_err());
         assert!(FaultPlan::parse("frobnicate=1").is_err());
+        // Out-of-range numbers are refused, never truncated to a smaller plan.
+        assert_eq!(FaultPlan::parse("drop_ppm=1000000").unwrap().drop_ppm, 1_000_000);
+        assert!(FaultPlan::parse("drop_ppm=1000001").is_err());
+        assert!(FaultPlan::parse("drop_ppm=4294967296").is_err());
+        assert!(FaultPlan::parse("max_retries=4294967296").is_err());
+        assert!(FaultPlan::parse("lose_nth=4294967297").is_err());
+        assert_eq!(FaultPlan::parse("lose_nth=4294967295").unwrap().lose_nth, u32::MAX);
     }
 
     #[test]

@@ -152,11 +152,6 @@ impl Crossbar {
         self.inputs.iter().all(|i| i.vcs.iter().all(|v| v.fifo.is_empty()))
     }
 
-    /// Total flits granted so far.
-    pub fn flits_granted(&self) -> u64 {
-        self.stats.grants
-    }
-
     /// Arbitration outcome counters.
     pub fn stats(&self) -> &ArbiterStats {
         &self.stats

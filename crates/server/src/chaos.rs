@@ -62,13 +62,19 @@ impl ServeFaultPlan {
                     .parse::<u64>()
                     .map_err(|_| format!("serve chaos {key}='{value}': not a number"))
             };
+            let ppm = || -> Result<u32, String> {
+                u32::try_from(num()?)
+                    .ok()
+                    .filter(|&p| p <= 1_000_000)
+                    .ok_or_else(|| format!("serve chaos {key}='{value}': exceeds 1000000 ppm"))
+            };
             match key {
                 "seed" => plan.seed = num()?,
                 "panic_nth" => plan.panic_nth = num()?,
-                "panic_ppm" => plan.panic_ppm = num()? as u32,
+                "panic_ppm" => plan.panic_ppm = ppm()?,
                 "slow_ms" => plan.slow_ms = num()?,
                 "store_write_fail_nth" => plan.store_write_fail_nth = num()?,
-                "store_write_fail_ppm" => plan.store_write_fail_ppm = num()? as u32,
+                "store_write_fail_ppm" => plan.store_write_fail_ppm = ppm()?,
                 "store_read_corrupt_nth" => plan.store_read_corrupt_nth = num()?,
                 other => return Err(format!("serve chaos: unknown key '{other}'")),
             }
@@ -178,6 +184,10 @@ mod tests {
         assert!(ServeFaultPlan::parse("frobnicate=1").is_err());
         assert!(ServeFaultPlan::parse("panic_nth=often").is_err());
         assert!(ServeFaultPlan::parse("panic_nth").is_err());
+        assert!(ServeFaultPlan::parse("panic_ppm=1000001").is_err());
+        assert!(ServeFaultPlan::parse("panic_ppm=4294967296").is_err());
+        assert!(ServeFaultPlan::parse("store_write_fail_ppm=4294967296").is_err());
+        assert_eq!(ServeFaultPlan::parse("panic_ppm=1000000").unwrap().panic_ppm, 1_000_000);
         assert_eq!(ServeFaultPlan::parse("").unwrap(), ServeFaultPlan::default());
     }
 

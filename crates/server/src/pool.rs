@@ -4,7 +4,6 @@
 use dresar_bench::sweep::panic_message;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Runs one job body under a panic guard, converting an unwind into the
 /// stringified panic payload. This is the per-job isolation the serving
@@ -38,9 +37,10 @@ pub enum SubmitError {
 /// [`dresar_bench::sweep::thread_count`] (so `DRESAR_SWEEP_THREADS` governs
 /// serving concurrency exactly like sweep concurrency) unless configured.
 ///
-/// `pause`/`resume` gate the workers without touching the queue — tests use
-/// this to hold jobs queued while concurrent requests pile up, making
-/// coalescing and shedding assertions deterministic instead of racy.
+/// A pool started paused holds its workers idle until `resume` without
+/// touching the queue — tests use this to hold jobs queued while concurrent
+/// requests pile up, making coalescing and shedding assertions
+/// deterministic instead of racy.
 #[derive(Debug)]
 pub struct ServicePool {
     inner: std::sync::Arc<PoolShared>,
@@ -86,28 +86,6 @@ impl std::fmt::Debug for PoolState {
     }
 }
 
-/// What [`ServicePool::drain`] observed while shutting the pool down —
-/// surfaced as data so a supervisor can report which workers were lost and
-/// how many jobs were abandoned, instead of the historical double panic
-/// (`expect` on a poisoned join while already unwinding).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DrainReport {
-    /// Job panics contained by workers over the pool's lifetime.
-    pub worker_panics: u64,
-    /// Worker threads that died outside the per-job guard (only possible
-    /// via a non-unwinding kill; a contained panic never loses a worker).
-    pub workers_lost: usize,
-    /// Queued jobs discarded because no live worker remained to run them.
-    pub jobs_abandoned: usize,
-}
-
-impl DrainReport {
-    /// Whether the drain completed without losing a worker or a job.
-    pub fn clean(&self) -> bool {
-        self.workers_lost == 0 && self.jobs_abandoned == 0
-    }
-}
-
 impl ServicePool {
     /// Starts `threads` workers servicing a queue bounded at `queue_depth`
     /// jobs (both clamped to at least 1). With `paused` the workers idle
@@ -145,11 +123,6 @@ impl ServicePool {
         Ok(())
     }
 
-    /// Holds workers idle after their current job; queued jobs stay queued.
-    pub fn pause(&self) {
-        lock_pool(&self.inner.state).paused = true;
-    }
-
     /// Releases paused workers.
     pub fn resume(&self) {
         lock_pool(&self.inner.state).paused = false;
@@ -173,59 +146,25 @@ impl ServicePool {
     /// Graceful drain: stops admissions, runs every queued job to
     /// completion (resuming paused workers), then joins the workers.
     ///
-    /// Returns what happened as data. Contained job panics do not disturb
-    /// the drain (the workers that caught them are joined normally); if
-    /// every worker was lost to a non-unwinding kill while jobs were still
-    /// queued, those jobs are abandoned and counted rather than waited on
-    /// forever.
-    pub fn drain(&self) -> DrainReport {
-        {
-            let mut st = lock_pool(&self.inner.state);
-            st.stopping = true;
-            st.paused = false;
-        }
-        self.inner.takeable.notify_all();
+    /// Returns how many worker joins failed. Contained job panics do not
+    /// disturb the drain: the workers that caught them are joined normally.
+    pub fn drain(&self) -> usize {
         let mut st = lock_pool(&self.inner.state);
-        let mut jobs_abandoned = 0usize;
+        st.stopping = true;
+        st.paused = false;
+        self.inner.takeable.notify_all();
         while !st.queue.is_empty() || st.active > 0 {
-            // Bounded wait so worker liveness is re-checked: if no worker
-            // thread remains to run the queue down, waiting on `drained`
-            // would hang forever — abandon the queue instead and report it.
-            let (guard, _) = self
-                .inner
-                .drained
-                .wait_timeout(st, Duration::from_millis(50))
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            st = guard;
-            let all_dead =
-                lock_pool_list(&self.workers).iter().all(std::thread::JoinHandle::is_finished);
-            if all_dead && st.active == 0 && !st.queue.is_empty() {
-                jobs_abandoned = st.queue.len();
-                st.queue.clear();
-                break;
-            }
+            st = self.inner.drained.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
         }
-        let worker_panics = st.panics;
         drop(st);
-        let mut workers_lost = 0usize;
-        for w in lock_pool_list(&self.workers).drain(..) {
-            if w.join().is_err() {
-                workers_lost += 1;
-            }
-        }
-        DrainReport { worker_panics, workers_lost, jobs_abandoned }
+        let mut workers = self.workers.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        workers.drain(..).map(std::thread::JoinHandle::join).filter(Result::is_err).count()
     }
 }
 
 /// Poison-tolerant pool-state lock: a panic elsewhere must degrade to a
 /// contained, counted error — never cascade into every pool operation.
 fn lock_pool(m: &Mutex<PoolState>) -> std::sync::MutexGuard<'_, PoolState> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn lock_pool_list(
-    m: &Mutex<Vec<std::thread::JoinHandle<()>>>,
-) -> std::sync::MutexGuard<'_, Vec<std::thread::JoinHandle<()>>> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -242,11 +181,6 @@ fn worker_loop(shared: &PoolShared) {
                     if st.stopping {
                         return;
                     }
-                } else if st.stopping {
-                    // Drain resumes before stopping; a paused stop still
-                    // exits once the queue has been run down.
-                    st.paused = false;
-                    continue;
                 }
                 st = shared.takeable.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
             }
@@ -336,10 +270,9 @@ mod tests {
             }))
             .unwrap();
         }
-        let report = pool.drain();
+        let workers_lost = pool.drain();
         assert_eq!(done.load(Ordering::Relaxed), 8);
-        assert_eq!(report, DrainReport { worker_panics: 1, workers_lost: 0, jobs_abandoned: 0 });
-        assert!(report.clean(), "a contained panic is not a lost worker");
+        assert_eq!(workers_lost, 0, "a contained panic is not a lost worker");
         assert_eq!(pool.panics(), 1);
     }
 }

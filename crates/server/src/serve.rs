@@ -383,12 +383,9 @@ impl Server {
         }
         // New connections are no longer accepted; finish the ones in
         // flight (their queued executions run to completion in drain).
-        let report = self.shared.pool.drain();
-        if !report.clean() {
-            eprintln!(
-                "dresar-serve: unclean drain: {} worker(s) lost, {} job(s) abandoned",
-                report.workers_lost, report.jobs_abandoned
-            );
+        let workers_lost = self.shared.pool.drain();
+        if workers_lost > 0 {
+            eprintln!("dresar-serve: unclean drain: {workers_lost} worker(s) lost");
         }
         let handles: Vec<_> = std::mem::take(&mut *lock_recover(&self.conns));
         for h in handles {

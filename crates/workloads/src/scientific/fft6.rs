@@ -9,7 +9,9 @@
 //! communication structure of the SPLASH FFT the paper ran on RSIM: short
 //! ownership-reuse distances that switch directories capture well, unlike
 //! the per-stage global exchange of the plain Stockham formulation in
-//! [`super::fft`]. Both are exported; the evaluation suite uses this one.
+//! [`super::fft`]. Both are exported, but the evaluation suite runs the
+//! Stockham one (`dresar_workloads::generate("FFT", ..)`); this one runs
+//! only in `examples/fft_variants.rs` and this module's tests.
 //!
 //! Row FFT references are recorded as a streaming read+write of the row
 //! with the butterfly arithmetic charged as per-element work — the

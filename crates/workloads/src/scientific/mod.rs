@@ -22,8 +22,8 @@
 //! ([`fft`], used by the evaluation suite) and the transpose-based
 //! six-step ([`fft_six_step`], the SPLASH-2 communication structure).
 //! Both compute identical transforms (cross-checked in tests); they differ
-//! in ownership-reuse distance, which the FFT ablation in
-//! `examples/`/`dresar-bench` exposes.
+//! in ownership-reuse distance, which `examples/fft_variants.rs` compares
+//! on the full machine. No figure or bench binary runs the six-step one.
 
 mod fft;
 mod fft6;

@@ -158,15 +158,42 @@ fn full_queue_sheds_with_structured_429_and_recovers() {
 }
 
 #[test]
+fn post_shutdown_drains_queued_work_and_join_returns() {
+    let cfg = ServerConfig { workers: 1, start_paused: true, ..Default::default() };
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let addr = server.local_addr().to_string();
+
+    // One run queued behind the paused worker when the shutdown arrives.
+    let queued = {
+        let addr = addr.clone();
+        std::thread::spawn(move || post_run(&addr, FFT_SPEC).unwrap())
+    };
+    wait_until(&server, "run queued", |reg| counter(reg, "serve.scheduled") == 1);
+
+    let resp = http_request(&addr, "POST", "/shutdown", "").unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert_eq!(resp.body, "{\"draining\":true}\n");
+
+    // The drain releases the paused worker and runs the queue down before
+    // `join` returns; the acceptor has stopped, so the listener is gone.
+    server.join();
+    let resp = queued.join().unwrap();
+    assert_eq!(resp.status, 200, "queued run must finish during the drain: {}", resp.body);
+    assert!(std::net::TcpStream::connect(&addr).is_err(), "listener closed after join");
+}
+
+#[test]
 fn malformed_requests_get_distinct_machine_readable_errors() {
     let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.local_addr().to_string();
 
-    let cases: [(&str, &str); 4] = [
+    let cases: [(&str, &str); 5] = [
         ("{not json", "bad_json"),
         (r#"{"workload":"FFT","entires":512}"#, "unknown_field"),
         (r#"{"workload":"FFT","sd_entries":100}"#, "bad_sd_size"),
         (r#"{"workload":"FFT","nodes":12}"#, "bad_topology"),
+        // 2^32 ppm must be refused, not truncated to a fault-free 0 ppm.
+        (r#"{"workload":"FFT","faults":"seed=1,drop_ppm=4294967296"}"#, "bad_faults"),
     ];
     for (body, code) in cases {
         let resp = post_run(&addr, body).unwrap();
