@@ -34,7 +34,8 @@ use dresar_faults::{
 use dresar_interconnect::routes::{self, Route};
 use dresar_interconnect::{Bmin, HopNetwork, SwitchId};
 use dresar_obs::{
-    MachineShape, NullProbe, ObserverConfig, ObserverSet, Probe, ServicePoint, SwitchLoc,
+    FlightRecorder, MachineShape, NullProbe, ObsReport, ObserverConfig, ObserverSet, Probe,
+    ServicePoint, SwitchLoc,
 };
 use dresar_stats::ReadClass;
 use dresar_types::addr::AddressMap;
@@ -52,11 +53,13 @@ pub struct RunOptions {
     /// TRANSIENT-read policy for the switch directories.
     pub transient_policy: TransientReadPolicy,
     /// Observers to attach (latency breakdown, trace, flight recorder,
-    /// contention heatmap). By default only the bounded flight recorder is on — it is
-    /// the always-on black box, surfaced in the report only when the run is
-    /// anomalous (watchdog trip, coherence failure, lost messages or sim
-    /// errors). Pass `ObserverConfig::default()` explicitly for a fully
-    /// uninstrumented run.
+    /// contention heatmap). By default only the bounded flight recorder is
+    /// on — it is the always-on black box, surfaced in the report only when
+    /// the run is anomalous (watchdog trip, coherence failure, lost messages
+    /// or sim errors). Alone, the recorder is the run's probe itself, so the
+    /// hooks it ignores cost nothing; any other observer brings in the
+    /// [`ObserverSet`] fan-out. Pass `ObserverConfig::default()` explicitly
+    /// for a fully uninstrumented run.
     pub observers: ObserverConfig,
     /// Deterministic fault-injection plan. `None` (and an inert
     /// [`FaultPlan::default`]) run fault-free.
@@ -294,29 +297,46 @@ impl System {
     /// Panics on protocol deadlock (event queue drains with undrained
     /// nodes) or when `opts.max_cycles` is exceeded (livelock guard).
     pub fn run(self, opts: RunOptions) -> ExecutionReport {
-        if opts.observers.enabled() {
-            let shape =
-                MachineShape { nodes: self.cfg.nodes, switches: self.bmin.total_switches() };
-            let mut set = ObserverSet::new(opts.observers, shape);
-            let mut report = self.run_probed(opts, &mut set);
-            let mut obs = set.finish();
-            // The flight recorder is a black box: it records always but
-            // its dump only surfaces when the run is anomalous, so healthy
-            // reports stay byte-identical with or without it.
-            let anomalous = report.watchdog.is_some()
-                || report.coherence.as_ref().is_some_and(|c| !c.ok())
-                || report.faults.is_some_and(|f| f.lost > 0)
-                || !report.sim_errors.is_empty();
-            if !anomalous {
-                obs.flight = None;
-            }
-            if !obs.is_empty() {
-                report.obs = Some(obs);
-            }
-            report
-        } else {
-            self.run_probed(opts, &mut NullProbe)
+        let cfg = opts.observers;
+        if !cfg.enabled() {
+            return self.run_probed(opts, &mut NullProbe);
         }
+        let (mut report, mut obs) = match cfg {
+            // The default: the flight recorder alone is the probe, so the
+            // hooks it does not record (tick, hops, links, occupancy)
+            // compile away instead of passing through the fan-out.
+            ObserverConfig {
+                flight: Some(capacity),
+                latency_breakdown: false,
+                trace: false,
+                heatmap_window: None,
+            } => {
+                let mut flight = FlightRecorder::new(capacity);
+                let report = self.run_probed(opts, &mut flight);
+                (report, ObsReport { flight: Some(flight.finish()), ..ObsReport::default() })
+            }
+            _ => {
+                let shape =
+                    MachineShape { nodes: self.cfg.nodes, switches: self.bmin.total_switches() };
+                let mut set = ObserverSet::new(cfg, shape);
+                let report = self.run_probed(opts, &mut set);
+                (report, set.finish())
+            }
+        };
+        // The flight recorder is a black box: it records always but its
+        // dump only surfaces when the run is anomalous, so healthy reports
+        // stay byte-identical with or without it.
+        let anomalous = report.watchdog.is_some()
+            || report.coherence.as_ref().is_some_and(|c| !c.ok())
+            || report.faults.is_some_and(|f| f.lost > 0)
+            || !report.sim_errors.is_empty();
+        if !anomalous {
+            obs.flight = None;
+        }
+        if !obs.is_empty() {
+            report.obs = Some(obs);
+        }
+        report
     }
 
     /// [`System::run`] generic over the attached [`Probe`]. With

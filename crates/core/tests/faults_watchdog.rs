@@ -5,6 +5,7 @@
 
 use dresar::system::{RunOptions, System};
 use dresar_faults::{FaultPlan, WatchdogConfig, WatchdogKind};
+use dresar_obs::ObserverConfig;
 use dresar_types::config::{SwitchDirConfig, SystemConfig};
 use dresar_types::msg::MsgType;
 use dresar_types::{StreamItem, ToJson, Workload};
@@ -135,6 +136,37 @@ fn watchdog_trip_attaches_a_deterministic_flight_dump() {
         .and_then(|o| o.flight.as_ref())
         .expect("the deterministic replay must attach a dump too");
     assert_eq!(fa.to_json().dump(), fb.to_json().dump(), "dumps must be byte-identical");
+}
+
+#[test]
+fn flight_dump_is_the_same_alone_or_beside_other_observers() {
+    // Alone, the recorder is the run's probe; beside the latency breakdown
+    // it rides the observer fan-out. It must see the same records either
+    // way.
+    let plan =
+        FaultPlan { lose_kind: Some(MsgType::WriteReply), lose_nth: 1, ..FaultPlan::default() };
+    let opts = RunOptions {
+        max_cycles: 500_000_000,
+        faults: Some(plan),
+        watchdog: Some(WatchdogConfig { progress_budget: 50_000 }),
+        ..Default::default()
+    };
+    let with_breakdown = RunOptions {
+        observers: ObserverConfig { latency_breakdown: true, ..opts.observers },
+        ..opts
+    };
+    let dump = |opts: RunOptions| {
+        let r = System::new(cfg(), &one_write_workload()).run(opts);
+        assert!(r.watchdog.is_some(), "scenario must trip the watchdog");
+        let obs = r.obs.expect("a tripped run attaches observer output");
+        let flight = obs.flight.expect("a tripped run must attach the flight dump");
+        assert!(!flight.is_empty());
+        (flight.to_json().dump(), obs.breakdown.is_some())
+    };
+    let (alone, alone_has_breakdown) = dump(opts);
+    let (beside, beside_has_breakdown) = dump(with_breakdown);
+    assert!(!alone_has_breakdown && beside_has_breakdown);
+    assert_eq!(alone, beside, "dumps must be byte-identical");
 }
 
 #[test]

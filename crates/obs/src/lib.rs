@@ -27,7 +27,8 @@
 //!   critical resource.
 //!
 //! [`ObserverSet`] bundles any subset of the four behind one `Probe`
-//! implementation and is what [`ObserverConfig`] enables from run options.
+//! implementation and is what [`ObserverConfig`] enables from run options,
+//! except that a flight recorder alone runs as the probe itself.
 
 pub mod attrib;
 pub mod breakdown;

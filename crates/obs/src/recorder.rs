@@ -150,7 +150,10 @@ impl FlightRecorder {
             self.ring.push(r);
         } else {
             self.ring[self.head] = r;
-            self.head = (self.head + 1) % self.capacity;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
         }
     }
 
